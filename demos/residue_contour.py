@@ -13,12 +13,8 @@ from fractions import Fraction
 
 from cancelsum import (PrecisionContext, build_contour, exp_sqrt_kernel,
                        pentagonal_form, residue_identity_check, square_form)
-from mpmath import mp, mpf
-
-
-def growth():
-    return mp.pi * mp.sqrt(mpf(2) / 3)
-
+from cancelsum.partition import growth_p1
+from mpmath import mp
 
 ctx = PrecisionContext(bits=320)
 
@@ -32,7 +28,7 @@ print("  discrete side =", mp.nstr(rep.discrete, 20))
 print("  rel err       = %.3e" % float(rep.rel_err))
 
 print("\npentagonal instance at x = 400:")
-rep = residue_identity_check(exp_sqrt_kernel(growth), pentagonal_form(),
+rep = residue_identity_check(exp_sqrt_kernel(growth_p1), pentagonal_form(),
                              400, 1, ctx)
 print("  %d residues, rel err %.3e" % (rep.term_count, float(rep.rel_err)))
 print("  leg magnitudes (bottom, right, top, left):")

@@ -3,7 +3,7 @@ alternating sums over quadratic index sets.
 
 Submodules:
   numerics   precision policy, Bessel I series, exact conversions
-  partition  exact partition table, truncated expansion kernels, PTAB files
+  partition  exact partition table, truncated expansion kernels
   oscsum     quadratic forms, kernel specs, alternating sums and bounds
   primes     prime-power sieve, Chebyshev psi sums, interval halving, LSIV files
   pte        power-sum difference pairs and the alternating polynomial law
@@ -17,16 +17,16 @@ from .errors import (CancelsumError, DegenerateFitError, DegreeMismatchError,
 from .numerics import (PrecisionContext, bessel_i, complex_sqrt_principal,
                        context_for, nstr_for_bits, required_bits,
                        to_fraction_exact, to_mpf_exact)
-from .partition import (ExactPartitionTable, MeinardusParams, load_table,
+from .partition import (ExactPartitionTable, MeinardusParams,
                         meinardus_kernel, p1, p2, p3, p4, partition_exact,
-                        pentagonal, pnt_checksum, q1_kernel, save_table,
+                        pentagonal, pnt_checksum, q1_kernel,
                         usual_partition_params)
 from .oscsum import (KernelSpec, QuadraticForm, SumReport, alternating_sum,
                      bessel_kernel, bound_main1, bound_main2,
                      complex_alternating_sum, complex_exp_kernel, delta,
                      empirical_exponent, exp_sqrt_kernel, maximize_delta,
-                     meinardus_spec, pentagonal_form, power_kernel,
-                     rademacher_kernel, square_form)
+                     pentagonal_form, power_kernel, rademacher_kernel,
+                     square_form)
 from .primes import (IntervalHalfReport, LambdaSieve, build_sieve,
                      coefficients_value, interval_union_measure,
                      lambda_coefficients, load_sieve, psi,
@@ -49,13 +49,13 @@ __all__ = [
     "ResourceError",
     "PrecisionContext", "bessel_i", "complex_sqrt_principal", "context_for",
     "nstr_for_bits", "required_bits", "to_fraction_exact", "to_mpf_exact",
-    "ExactPartitionTable", "MeinardusParams", "load_table", "meinardus_kernel",
+    "ExactPartitionTable", "MeinardusParams", "meinardus_kernel",
     "p1", "p2", "p3", "p4", "partition_exact", "pentagonal", "pnt_checksum",
-    "q1_kernel", "save_table", "usual_partition_params",
+    "q1_kernel", "usual_partition_params",
     "KernelSpec", "QuadraticForm", "SumReport", "alternating_sum",
     "bessel_kernel", "bound_main1", "bound_main2", "complex_alternating_sum",
     "complex_exp_kernel", "delta", "empirical_exponent", "exp_sqrt_kernel",
-    "maximize_delta", "meinardus_spec", "pentagonal_form", "power_kernel",
+    "maximize_delta", "pentagonal_form", "power_kernel",
     "rademacher_kernel", "square_form",
     "IntervalHalfReport", "LambdaSieve", "build_sieve", "coefficients_value",
     "interval_union_measure", "lambda_coefficients", "load_sieve", "psi",

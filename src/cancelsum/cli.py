@@ -1,15 +1,15 @@
 """Command-line front end: every experiment as a subcommand emitting
 CSV or JSON rows.
 
-Global flags --bits/--format/--out/--sieve-cache/--seed apply to every
+Global flags --bits/--format/--out/--sieve-cache apply to every
 subcommand; --config points at a JSON file whose keys mirror the flag
 names (explicit flags win).  High-precision values serialize as
 decimal strings, never binary floats, and identical configurations
 produce byte-identical output.
 
 Exit codes: 0 success, 1 violated identity or failed check,
-2 usage/domain error, 3 resource error.  Module errors print a
-machine-readable {"error": ...} object on stderr.
+2 usage/domain error, 3 resource error.  Module errors and malformed
+numbers print a machine-readable {"error": ...} object on stderr.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from . import contour as contour_mod
 from . import oscsum, partition, primes, pte
@@ -34,11 +35,28 @@ from .numerics import (PrecisionContext, context_for, nstr_for_bits,
 # Named growth constants usable wherever a kernel rate is expected;
 # resolved lazily at working precision.
 _RATE_TOKENS = {
-    "growth-p1": lambda: mp.pi * mp.sqrt(mpf(2) / 3),
-    "growth-p3": lambda: mp.pi / mp.sqrt(mpf(6)),
+    "growth-p1": partition.growth_p1,
+    "growth-p3": partition.growth_p3,
 }
 
 
+def _input_parser(convert):
+    """The parser for one CLI/config input: malformed input becomes a
+    DomainError (exit 2 with an {"error": ...} line), never a traceback."""
+    def parse(value):
+        try:
+            return convert(value)
+        except DomainError:
+            raise
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            raise DomainError("bad input %r: %s" % (value, exc)) from None
+    return parse
+
+
+_parse_int = _input_parser(int)
+
+
+@_input_parser
 def _parse_number(value):
     """Exact rational from CLI/config input: int, Fraction string
     ("3/2"), or decimal string ("2.5")."""
@@ -74,19 +92,24 @@ def _parse_grid(opts) -> list:
         raise DomainError("missing --x or --x-grid")
     text = str(spec)
     if text.startswith(("geom:", "lin:")):
-        kind, lo_s, hi_s, n_s = text.split(":")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-        if n < 1 or lo <= 0 or hi < lo:
-            raise DomainError("bad grid spec %r" % text)
-        if n == 1:
-            return [int(round(lo))]
-        pts = []
-        for i in range(n):
-            t = i / (n - 1)
-            v = lo * (hi / lo) ** t if kind == "geom" else lo + (hi - lo) * t
-            pts.append(int(round(v)))
-        return pts
+        return _grid_points(text)
     return [_parse_number(v) for v in text.split(",")]
+
+
+@_input_parser
+def _grid_points(text: str) -> list:
+    kind, lo_s, hi_s, n_s = text.split(":")
+    lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+    if n < 1 or lo <= 0 or hi < lo:
+        raise DomainError("bad grid spec %r" % text)
+    if n == 1:
+        return [int(round(lo))]
+    pts = []
+    for i in range(n):
+        t = i / (n - 1)
+        v = lo * (hi / lo) ** t if kind == "geom" else lo + (hi - lo) * t
+        pts.append(int(round(v)))
+    return pts
 
 
 def _resolve_ctx(opts, x, growth) -> PrecisionContext:
@@ -94,7 +117,7 @@ def _resolve_ctx(opts, x, growth) -> PrecisionContext:
     if bits == "auto":
         g = growth() if callable(growth) else growth
         return context_for(x, float(g) if g else 0.0)
-    return PrecisionContext(bits=int(bits))
+    return PrecisionContext(bits=_parse_int(bits))
 
 
 def _form_from(opts) -> oscsum.QuadraticForm:
@@ -117,7 +140,7 @@ def _kernel_from(opts) -> oscsum.KernelSpec:
     if name == "exp_sqrt":
         return oscsum.exp_sqrt_kernel(_parse_rate(opts.get("c", 1)))
     if name == "bessel":
-        return oscsum.bessel_kernel(int(opts.get("alpha_order", 0)),
+        return oscsum.bessel_kernel(_parse_int(opts.get("alpha_order", 0)),
                                     _parse_rate(opts.get("c", 1)))
     if name == "power":
         return oscsum.power_kernel(_parse_number(opts.get("k_half", 1)))
@@ -169,7 +192,7 @@ def _sieve_for(limit: int, opts) -> primes.LambdaSieve:
 
 
 def cmd_pnt_verify(opts) -> int:
-    x_max = int(opts.get("x_max", 2000))
+    x_max = _parse_int(opts.get("x_max", 2000))
     if x_max < 1:
         raise DomainError("x_max must be >= 1")
     table = partition.ExactPartitionTable()
@@ -279,7 +302,7 @@ def cmd_psi_half(opts) -> int:
 def cmd_pte_construct(opts) -> int:
     if "n" not in opts or "m" not in opts:
         raise DomainError("pte-construct needs --n and --m")
-    n, m = int(opts["n"]), int(opts["m"])
+    n, m = _parse_int(opts["n"]), _parse_int(opts["m"])
     pair = pte.construct_pair(n, m, adjust=not opts.get("no_adjust", False))
     _emit([{"n": n, "m": m, "N": pair.N, "adjusted": pair.adjusted,
             "k_regime": pte.k_regime(n, m)}],
@@ -290,9 +313,9 @@ def cmd_pte_construct(opts) -> int:
 def cmd_pte_verify(opts) -> int:
     if "n" not in opts or "m" not in opts:
         raise DomainError("pte-verify needs --n and --m")
-    n, m = int(opts["n"]), int(opts["m"])
+    n, m = _parse_int(opts["n"]), _parse_int(opts["m"])
     pair = pte.construct_pair(n, m)
-    r_max = int(opts.get("r_max", pte.k_regime(n, m)))
+    r_max = _parse_int(opts.get("r_max", pte.k_regime(n, m)))
     rows = [row.to_json_dict() for row in pte.verify_pte_bound(pair, r_max)]
     _emit(rows, ["r", "diff", "bound", "ratio", "within_regime"], opts)
     return 0
@@ -300,9 +323,9 @@ def cmd_pte_verify(opts) -> int:
 
 def cmd_frm_degree(opts) -> int:
     if "r" in opts:
-        r_values = [int(opts["r"])]
+        r_values = [_parse_int(opts["r"])]
     elif "r_max" in opts:
-        r_values = list(range(1, int(opts["r_max"]) + 1))
+        r_values = list(range(1, _parse_int(opts["r_max"]) + 1))
     else:
         raise DomainError("frm-degree needs --r or --r-max")
     as_json = opts.get("format", "csv") == "json"
@@ -326,7 +349,7 @@ def cmd_lemma_sum(opts) -> int:
             raise DomainError("lemma-sum needs --x, --T and --k")
     x = _parse_number(opts["x"])
     T = _parse_number(opts["T"])
-    k = int(opts["k"])
+    k = _parse_int(opts["k"])
     u = _parse_number(opts.get("u", 1))
     ctx = _resolve_ctx(opts, x, 0.0)
     value = pte.lemma_sum(x, T, k, ctx)
@@ -345,10 +368,10 @@ def cmd_contour_check(opts) -> int:
     x = _parse_number(opts["x"])
     u = _parse_number(opts.get("u", 1))
     bits = opts.get("bits", "auto")
-    ctx = PrecisionContext(bits=320 if bits == "auto" else int(bits))
+    ctx = PrecisionContext(bits=320 if bits == "auto" else _parse_int(bits))
     kernel = _kernel_from(opts)
     q = _form_from(opts)
-    tol = str(opts.get("tol", "1e-14"))
+    tol = _parse_number(opts.get("tol", "1e-14"))
     report = contour_mod.residue_identity_check(kernel, q, x, u, ctx, tol=tol)
     row = report.to_json_dict()
     row["u"] = str(u)
@@ -368,11 +391,16 @@ def cmd_contour_check(opts) -> int:
     return 0
 
 
+@_input_parser
+def _float_pair(text: str) -> tuple:
+    first, second = text.split(",")
+    return float(first), float(second)
+
+
 def cmd_exponent_fit(opts) -> int:
     samples = []
     if "synthetic" in opts:
-        w_true, intercept = (float(v) for v in str(opts["synthetic"]).split(","))
-        import math
+        w_true, intercept = _float_pair(str(opts["synthetic"]))
         for x in _parse_grid(opts):
             samples.append((float(x), math.exp(w_true * math.sqrt(float(x)) + intercept)))
     else:
@@ -392,7 +420,7 @@ def cmd_exponent_fit(opts) -> int:
 def cmd_pigeonhole(opts) -> int:
     if "n" not in opts or "k" not in opts:
         raise DomainError("pigeonhole needs --n and --k")
-    n, k = int(opts["n"]), int(opts["k"])
+    n, k = _parse_int(opts["n"]), _parse_int(opts["k"])
     c = pte.pigeonhole_c(n, k)
     _emit([{"n": n, "k": k, "c": str(c), "c_float": float(c)}],
           ["n", "k", "c", "c_float"], opts)
@@ -423,8 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--sieve-cache", dest="sieve_cache",
                         help="prime-power table cache path")
-    common.add_argument("--seed", type=int,
-                        help="seed for randomized selections (reserved)")
     common.add_argument("--config", help="JSON config mirroring flags; flags win")
 
     parser = argparse.ArgumentParser(prog="cancelsum",

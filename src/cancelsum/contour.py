@@ -3,8 +3,8 @@
 The checked identity: for a kernel K with a complex continuation and a
 positive-definite quadratic q,
 
-    integral over the rectangle of  pi K(x - q(z)) h(z) / sin(pi z) dz
-        = 2 pi i  sum_{q(n) < x} (-1)^n K(x - q(n)) h(n),
+    integral over the rectangle of  pi K(x - q(z)) / sin(pi z) dz
+        = 2 pi i  sum_{q(n) < x} (-1)^n K(x - q(n)),
 
 counterclockwise, with the rectangle enclosing exactly the integers n
 with q(n) < x and staying strictly inside the branch points of
@@ -226,13 +226,11 @@ def _leg_integral(H: IntegrandDescriptor, z0: mpc, z1: mpc, tol: mpf,
 
 
 def integrate_rectangle(H: IntegrandDescriptor, contour: RectContour,
-                        ctx: PrecisionContext, tol, orientation: int = 1) -> QuadratureResult:
-    """Oriented sum of the four leg integrals (counterclockwise for
-    orientation +1); pole clearance is prechecked in closed form:
-    |sin(pi z)| on a vertical leg at abscissa X is >= |sin(pi X)|, on a
-    horizontal leg at height Y is >= sinh(pi |Y|)."""
-    if orientation not in (1, -1):
-        raise DomainError("orientation must be +1 or -1")
+                        ctx: PrecisionContext, tol) -> QuadratureResult:
+    """Counterclockwise sum of the four leg integrals; pole clearance is
+    prechecked in closed form: |sin(pi z)| on a vertical leg at abscissa
+    X is >= |sin(pi X)|, on a horizontal leg at height Y is
+    >= sinh(pi |Y|)."""
     with ctx.workprec():
         tol_v = to_mpf_exact(tol)
         if tol_v <= 0:
@@ -257,8 +255,6 @@ def integrate_rectangle(H: IntegrandDescriptor, contour: RectContour,
         total = mpc(0)
         for v in leg_values:
             total += v
-        if orientation == -1:
-            total = -total
         return QuadratureResult(value=total, leg_values=tuple(leg_values),
                                 evaluations=evals, levels=tuple(levels))
 
@@ -289,18 +285,19 @@ class ResidueReport:
 
 def kernel_integrand(kernel: KernelSpec, q: QuadraticForm, x,
                      ctx: PrecisionContext) -> IntegrandDescriptor:
-    """pi K(x - q(z)) h(z) / sin(pi z) with the radicand exposed for
-    branch-cut node checks."""
+    """pi K(x - q(z)) / sin(pi z) with the radicand exposed for
+    branch-cut node checks.  The constants are rounded once, at the
+    working precision every quadrature evaluation runs at."""
     with ctx.workprec():
         xv = to_mpf_exact(x)
+        a, b, d = to_mpf_exact(q.a), to_mpf_exact(q.b), to_mpf_exact(q.d)
 
     def radicand(z: mpc) -> mpc:
-        return xv - q.evaluate_complex(z)
+        return xv - (a * z * z + b * z + d)
 
     def func(z: mpc) -> mpc:
         w = radicand(z)
-        value = kernel.evaluate_complex(w, ctx) * kernel.evaluate_weight(z)
-        return mp.pi * value / mp.sin(mp.pi * z)
+        return mp.pi * kernel.evaluate_complex(w, ctx) / mp.sin(mp.pi * z)
 
     return IntegrandDescriptor(func=func, cut_func=radicand,
                                label="pi %s / sin(pi z)" % kernel.describe())

@@ -3,9 +3,9 @@ cancellation bound machinery, and empirical exponent fits.
 
 The central object is
 
-    S(x) = sum over integers n with q(n) < x of (-1)^n kernel(x - q(n)) h(n)
+    S(x) = sum over integers n with q(n) < x of (-1)^n kernel(x - q(n))
 
-where q(n) = a n^2 + b n + d with a > 0 and h(n) = (alpha_h n + beta_h)^{t_h}.
+where q(n) = a n^2 + b n + d with a > 0.
 The coefficients of q are kept as exact Fractions so the strict index
 constraint q(n) < x is decided by rational arithmetic, never by a
 rounded float: sums like the pentagonal checksum live exactly on such
@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import sqrt
 from typing import Callable, Optional, Union
 
-import numpy as np
 from mpmath import mp, mpc, mpf
 
 from . import partition
@@ -56,9 +56,6 @@ class QuadraticForm:
 
     def evaluate(self, n: int) -> Fraction:
         return self.a * n * n + self.b * n + self.d
-
-    def evaluate_complex(self, z: mpc) -> mpc:
-        return to_mpf_exact(self.a) * z * z + to_mpf_exact(self.b) * z + to_mpf_exact(self.d)
 
     def roots_at(self, x) -> tuple[mpf, mpf]:
         """Real solutions of q(t) = x (branch points of sqrt(x - q));
@@ -105,6 +102,8 @@ def pentagonal_form() -> QuadraticForm:
 
 def square_form(T: Rational = 1) -> QuadraticForm:
     """q(l) = l^2 / T, the scaled-square constraint."""
+    if T <= 0:
+        raise DomainError("square_form needs T > 0")
     return QuadraticForm(Fraction(1, 1) / Fraction(T), Fraction(0), Fraction(0))
 
 
@@ -118,21 +117,19 @@ _RADEMACHER = {
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A named kernel family plus the monomial weight h(n) = (alpha_h n + beta_h)^{t_h}.
+    """A named kernel family.
 
     `growth` is the constant c in kernel(y) ~ e^{c sqrt(y)}, consumed by
-    the precision policy; None means "estimate numerically at the sum's
-    argument".  `real_eval`/`complex_eval` evaluate the kernel at a
-    nonnegative rational y, respectively at a complex point w = x - q(z)
-    during contour checks (None when the family has no complex
-    continuation wired up).
+    the precision policy.  `real_eval`/`complex_eval` evaluate the kernel
+    at a nonnegative rational y, respectively at a complex point
+    w = x - q(z) during contour checks (None when the family has no
+    complex continuation wired up).
     """
 
     family: str
     real_eval: Callable[[object, PrecisionContext], object]
+    growth: float
     complex_eval: Optional[Callable[[mpc, PrecisionContext], mpc]] = None
-    growth: Optional[float] = None
-    weight: tuple[Rational, Rational, int] = (1, 0, 0)
     label: str = ""
 
     def evaluate(self, y, ctx: PrecisionContext):
@@ -143,23 +140,11 @@ class KernelSpec:
             raise DomainError("kernel family %r has no complex continuation" % (self.family,))
         return self.complex_eval(w, ctx)
 
-    def evaluate_weight(self, n) -> mpf:
-        ah, bh, th = self.weight
-        if th == 0:
-            return mpf(1)
-        if int(th) != th:
-            raise DomainError("weight exponent t_h must be an integer")
-        if isinstance(n, mpc):
-            base = to_mpf_exact(ah) * n + to_mpf_exact(bh)
-        else:
-            base = to_mpf_exact(ah) * to_mpf_exact(n) + to_mpf_exact(bh)
-        return base ** int(th)
-
     def describe(self) -> str:
         return self.label or self.family
 
 
-def exp_sqrt_kernel(c, weight=(1, 0, 0)) -> KernelSpec:
+def exp_sqrt_kernel(c) -> KernelSpec:
     """kernel(y) = e^{c sqrt(y)}; c may be a number, decimal string, or a
     zero-argument callable producing an mpf at working precision."""
     c_value = _growth_value(c)
@@ -174,19 +159,18 @@ def exp_sqrt_kernel(c, weight=(1, 0, 0)) -> KernelSpec:
         with ctx.workprec():
             return mp.exp(_resolve(c) * complex_sqrt_principal(w))
 
-    return KernelSpec("exp_sqrt", real_eval, complex_eval, growth=c_value, weight=weight,
+    return KernelSpec("exp_sqrt", real_eval, c_value, complex_eval,
                       label="exp_sqrt(c=%s)" % (c_value,))
 
 
-def rademacher_kernel(name: str, weight=(1, 0, 0)) -> KernelSpec:
+def rademacher_kernel(name: str) -> KernelSpec:
     """Truncated Hardy-Ramanujan-Rademacher kernels p1, p2, p3, p4 and
     the square-root variant sqrt_p1."""
     if name == "sqrt_p1":
         def real_eval(y, ctx):
             with ctx.workprec():
                 return mp.sqrt(partition.p1(y, ctx))
-        return KernelSpec("rademacher", real_eval, growth=partition.GROWTH_SQRT_P1,
-                          weight=weight, label="sqrt_p1")
+        return KernelSpec("rademacher", real_eval, partition.GROWTH_SQRT_P1, label="sqrt_p1")
     if name not in _RADEMACHER:
         raise DomainError("unknown rademacher kernel %r" % (name,))
     func, growth = _RADEMACHER[name]
@@ -194,10 +178,10 @@ def rademacher_kernel(name: str, weight=(1, 0, 0)) -> KernelSpec:
     def real_eval(y, ctx):
         return func(y, ctx)
 
-    return KernelSpec("rademacher", real_eval, growth=growth, weight=weight, label=name)
+    return KernelSpec("rademacher", real_eval, growth, label=name)
 
 
-def bessel_kernel(alpha: int, c, weight=(1, 0, 0)) -> KernelSpec:
+def bessel_kernel(alpha: int, c) -> KernelSpec:
     """kernel(y) = I_alpha(c sqrt(y))."""
     from .numerics import bessel_i
 
@@ -209,22 +193,11 @@ def bessel_kernel(alpha: int, c, weight=(1, 0, 0)) -> KernelSpec:
         with ctx.workprec():
             return bessel_i(alpha, _resolve(c) * mp.sqrt(to_mpf_exact(y)), ctx)
 
-    return KernelSpec("bessel", real_eval, growth=c_value, weight=weight,
+    return KernelSpec("bessel", real_eval, c_value,
                       label="bessel(alpha=%d, c=%s)" % (alpha, c_value))
 
 
-def meinardus_spec(params, weight=(1, 0, 0)) -> KernelSpec:
-    """Generic (g^q e^{k^theta} (1 - h^{-r})) kernel; growth estimated
-    numerically at the sum argument."""
-    kernel = partition.meinardus_kernel(params)
-
-    def real_eval(y, ctx):
-        return kernel(y, ctx)
-
-    return KernelSpec("meinardus", real_eval, growth=None, weight=weight, label="meinardus")
-
-
-def power_kernel(k_half, weight=(1, 0, 0)) -> KernelSpec:
+def power_kernel(k_half) -> KernelSpec:
     """kernel(y) = y^{k/2}; polynomially bounded (growth constant 0)."""
     exponent = Fraction(k_half)
 
@@ -239,11 +212,11 @@ def power_kernel(k_half, weight=(1, 0, 0)) -> KernelSpec:
         with ctx.workprec():
             return mpc(w) ** to_mpf_exact(exponent)
 
-    return KernelSpec("power", real_eval, complex_eval, growth=0.0, weight=weight,
+    return KernelSpec("power", real_eval, 0.0, complex_eval,
                       label="power(k/2=%s)" % (exponent,))
 
 
-def complex_exp_kernel(alpha, beta, T, weight=(1, 0, 0)) -> KernelSpec:
+def complex_exp_kernel(alpha, beta, T) -> KernelSpec:
     """kernel(y) = e^{(alpha + i beta) sqrt(y)} with 0 <= alpha <= 2 and
     beta^2 <= T (the regime of the complex-exponent bound)."""
     alpha_f = _to_fraction(alpha)
@@ -266,8 +239,8 @@ def complex_exp_kernel(alpha, beta, T, weight=(1, 0, 0)) -> KernelSpec:
             root = complex_sqrt_principal(w)
             return mp.exp(mpc(to_mpf_exact(alpha_f), to_mpf_exact(beta_f)) * root)
 
-    return KernelSpec("complex_exp", real_eval, complex_eval, growth=float(alpha_f),
-                      weight=weight, label="complex_exp(alpha=%s, beta=%s, T=%s)" % (alpha, beta, T))
+    return KernelSpec("complex_exp", real_eval, float(alpha_f), complex_eval,
+                      label="complex_exp(alpha=%s, beta=%s, T=%s)" % (alpha, beta, T))
 
 
 def _resolve(c) -> mpf:
@@ -327,33 +300,28 @@ def _interleaved(lo: int, hi: int):
 
 
 def alternating_sum(kernel: KernelSpec, q: QuadraticForm, x, ctx: PrecisionContext,
-                    predicted_bound=None, order: str = "abs") -> SumReport:
-    """Evaluate S(x) = sum_{q(n) < x} (-1)^n kernel(x - q(n)) h(n).
+                    predicted_bound=None) -> SumReport:
+    """Evaluate S(x) = sum_{q(n) < x} (-1)^n kernel(x - q(n)).
 
-    Terms are accumulated at bits + guard_bits, by default in order of
-    increasing |n| (order="ascending" walks n_lo..n_hi instead; the two
-    agree to accumulation tolerance).  Raises PrecisionError when the
-    precision policy for the kernel's growth constant exceeds ctx.bits,
-    and EmptyRangeError when no index satisfies the constraint.
+    Terms are accumulated at bits + guard_bits in order of increasing
+    |n|.  Raises PrecisionError when the precision policy for the
+    kernel's growth constant exceeds ctx.bits, and EmptyRangeError when
+    no index satisfies the constraint.
     """
     from .numerics import required_bits
 
-    growth = kernel.growth
-    if growth is None:
-        growth = _estimate_growth(kernel, x)
-    need = required_bits(x, growth)
+    need = required_bits(x, kernel.growth)
     if need > ctx.bits:
         raise PrecisionError(
             "sum at x=%s with growth c=%.6g needs %d bits, context has %d"
-            % (x, growth, need, ctx.bits))
+            % (x, kernel.growth, need, ctx.bits))
     lo, hi = q.index_range(x)
     x_frac = _to_fraction(x)
-    indices = _interleaved(lo, hi) if order == "abs" else range(lo, hi + 1)
     with ctx.workprec():
         total = mpc(0)
-        for n in indices:
+        for n in _interleaved(lo, hi):
             y = x_frac - q.evaluate(n)
-            term = mpc(kernel.evaluate(y, ctx)) * kernel.evaluate_weight(n)
+            term = mpc(kernel.evaluate(y, ctx))
             total = total + term if n % 2 == 0 else total - term
         abs_value = abs(total)
         bound_v = None
@@ -364,17 +332,6 @@ def alternating_sum(kernel: KernelSpec, q: QuadraticForm, x, ctx: PrecisionConte
                 ratio = abs_value / bound_v
     return SumReport(x=x, value=total, abs_value=abs_value, term_count=hi - lo + 1,
                      precision_bits=ctx.bits, predicted_bound=bound_v, ratio=ratio)
-
-
-def _estimate_growth(kernel: KernelSpec, x) -> float:
-    """log kernel(x) / sqrt(x) at modest precision, for families without
-    a declared growth constant."""
-    probe = PrecisionContext(bits=192)
-    with probe.workprec():
-        val = kernel.evaluate(_to_fraction(x), probe)
-        if val <= 0:
-            return 0.0
-        return float(mp.log(val) / mp.sqrt(to_mpf_exact(_to_fraction(x))))
 
 
 def delta(r, a, c) -> mpf:
@@ -468,7 +425,10 @@ def maximize_delta(a, c) -> tuple[mpf, mpf]:
     """
     a_frac = _to_fraction(a)
     with mp.workprec(192):
-        c_key = mp.nstr(to_mpf_exact(_num(c)), 50)
+        c_value = to_mpf_exact(_num(c))
+        if a_frac <= 0 or c_value <= 0:
+            raise DomainError("maximize_delta needs a, c > 0")
+        c_key = mp.nstr(c_value, 50)
     return _maximize_delta_cached(str(a_frac), c_key)
 
 
@@ -504,7 +464,12 @@ def bound_main2(alpha, beta, T, x, delta_slack) -> mpf:
 
 def empirical_exponent(samples) -> tuple[float, float, float]:
     """Least-squares fit log|S| = w_hat sqrt(x) + intercept over (x, |S|)
-    samples; returns (w_hat, intercept, RMS residual)."""
+    samples; returns (w_hat, intercept, RMS residual).
+
+    The fit is solved exactly over the float samples (centred sums in
+    Fraction), so w_hat and intercept are correctly rounded and the RMS
+    residual is the square root of the correctly rounded mean square.
+    """
     pts = list(samples)
     if len(pts) < 3:
         raise DomainError("empirical_exponent needs at least 3 samples")
@@ -519,9 +484,13 @@ def empirical_exponent(samples) -> tuple[float, float, float]:
             logs.append(float(mp.log(av)))
     if max(roots) - min(roots) < 1e-12:
         raise DegenerateFitError("all sqrt(x) values coincide; slope is undetermined")
-    A = np.column_stack([np.array(roots), np.ones(len(roots))])
-    y = np.array(logs)
-    coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ coeffs
-    residual = float(np.sqrt(np.mean((pred - y) ** 2)))
-    return float(coeffs[0]), float(coeffs[1]), residual
+    ts = [Fraction(t) for t in roots]
+    ys = [Fraction(v) for v in logs]
+    n = len(ts)
+    t_mean, y_mean = sum(ts) / n, sum(ys) / n
+    stt = sum((t - t_mean) ** 2 for t in ts)
+    sty = sum((t - t_mean) * (v - y_mean) for t, v in zip(ts, ys))
+    w = sty / stt
+    b = y_mean - w * t_mean
+    mean_sq = sum((w * t + b - v) ** 2 for t, v in zip(ts, ys)) / n
+    return float(w), float(b), sqrt(float(mean_sq))

@@ -20,7 +20,6 @@ parameters.
 from __future__ import annotations
 
 import math
-import struct
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -35,7 +34,17 @@ GROWTH_P1 = math.pi * math.sqrt(2.0 / 3.0)
 GROWTH_P2 = GROWTH_P1
 GROWTH_P4 = GROWTH_P1
 GROWTH_P3 = math.pi / math.sqrt(6.0)
-GROWTH_SQRT_P1 = math.pi / math.sqrt(6.0)
+GROWTH_SQRT_P1 = GROWTH_P3
+
+
+def growth_p1() -> mpf:
+    """pi sqrt(2/3) at the current working precision."""
+    return mp.pi * mp.sqrt(mpf(2) / 3)
+
+
+def growth_p3() -> mpf:
+    """pi / sqrt(6) at the current working precision."""
+    return mp.pi / mp.sqrt(mpf(6))
 
 
 def pentagonal(n: int) -> int:
@@ -282,35 +291,3 @@ def usual_partition_params() -> MeinardusParams:
         k=((lambda: -(mp.pi ** 2) / 36, lambda: 24 * (mp.pi ** 2) / 36), (1,)),
     )
 
-
-PTAB_MAGIC = b"PTAB"
-PTAB_VERSION = 1
-
-
-def save_table(table: ExactPartitionTable, path: str) -> None:
-    """Binary cache of p(0..n_max): header {magic "PTAB", version u32,
-    n_max u64}, then one length-prefixed little-endian magnitude record
-    per value."""
-    with open(path, "wb") as fh:
-        fh.write(PTAB_MAGIC)
-        fh.write(struct.pack("<IQ", PTAB_VERSION, table.n_max))
-        for k in range(table.n_max + 1):
-            value = table.partition(k)
-            blob = value.to_bytes((value.bit_length() + 7) // 8 or 1, "little")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-
-
-def load_table(path: str) -> ExactPartitionTable:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != PTAB_MAGIC:
-            raise DomainError("not a PTAB file: %r" % (path,))
-        version, n_max = struct.unpack("<IQ", fh.read(12))
-        if version != PTAB_VERSION:
-            raise DomainError("unsupported PTAB version %d" % version)
-        values = []
-        for _ in range(n_max + 1):
-            (length,) = struct.unpack("<I", fh.read(4))
-            values.append(int.from_bytes(fh.read(length), "little"))
-    return ExactPartitionTable(values)

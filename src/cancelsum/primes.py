@@ -18,7 +18,9 @@ what the oracle-equivalence gate checks.
 
 from __future__ import annotations
 
+import os
 import struct
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -303,29 +305,35 @@ def interval_union_measure(x, T, ctx: PrecisionContext) -> mpf:
 
 
 LSIV_MAGIC = b"LSIV"
-LSIV_VERSION = 1
+LSIV_VERSION = 2
+_LSIV_HEADER = struct.Struct("<4sIQQI")  # magic, version, limit, entry count, crc32 of body
 
 
 def save_sieve(sieve: LambdaSieve, path: str) -> None:
-    """Cache file: header {magic "LSIV", version u32, limit u64} then the
-    ascending (prime_power u64, prime u64) pairs."""
-    with open(path, "wb") as fh:
-        fh.write(LSIV_MAGIC)
-        fh.write(struct.pack("<IQ", LSIV_VERSION, sieve.limit))
-        for pp, p in sieve.entries:
-            fh.write(struct.pack("<QQ", pp, p))
+    """Cache file: header {magic "LSIV", version u32, limit u64, entry
+    count u64, crc32 of the body u32} then the ascending (prime_power
+    u64, prime u64) pairs.  Written to a temporary file and renamed into
+    place, so a reader never sees a partial file."""
+    body = b"".join(struct.pack("<QQ", pp, p) for pp, p in sieve.entries)
+    header = _LSIV_HEADER.pack(LSIV_MAGIC, LSIV_VERSION, sieve.limit,
+                               len(sieve.entries), zlib.crc32(body))
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    with open(tmp, "wb") as fh:
+        fh.write(header + body)
+    os.replace(tmp, path)
 
 
 def load_sieve(path: str) -> LambdaSieve:
+    """Read a save_sieve file; DomainError unless the magic, version,
+    entry count and checksum all match."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != LSIV_MAGIC:
-            raise DomainError("not an LSIV file: %r" % (path,))
-        version, limit = struct.unpack("<IQ", fh.read(12))
-        if version != LSIV_VERSION:
-            raise DomainError("unsupported LSIV version %d" % version)
         blob = fh.read()
-    if len(blob) % 16:
-        raise DomainError("truncated LSIV file: %r" % (path,))
-    entries = [struct.unpack_from("<QQ", blob, off) for off in range(0, len(blob), 16)]
-    return LambdaSieve(limit, entries)
+    if len(blob) < _LSIV_HEADER.size or blob[:4] != LSIV_MAGIC:
+        raise DomainError("not an LSIV file: %r" % (path,))
+    _, version, limit, count, crc = _LSIV_HEADER.unpack_from(blob)
+    if version != LSIV_VERSION:
+        raise DomainError("unsupported LSIV version %d" % version)
+    body = blob[_LSIV_HEADER.size:]
+    if len(body) != 16 * count or zlib.crc32(body) != crc:
+        raise DomainError("truncated or corrupt LSIV file: %r" % (path,))
+    return LambdaSieve(limit, list(struct.iter_unpack("<QQ", body)))

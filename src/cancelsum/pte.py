@@ -198,6 +198,8 @@ def detect_degree(r: int, M_lo: int = 1, count: int | None = None) -> tuple[int,
     differences never stabilize or the detected degree violates the
     parity law (r-1 for even r, r for odd r).
     """
+    if r < 1:
+        raise DomainError("detect_degree needs r >= 1")
     if M_lo < 1:
         raise DomainError("detect_degree needs M_lo >= 1")
     if count is None:

@@ -18,21 +18,13 @@ from cancelsum import (ExactPartitionTable, alternating_sum, bound_main1,
                        pentagonal_form, pnt_checksum, psi_interval_half,
                        psi_weak_pentagonal, rademacher_kernel,
                        residue_identity_check, square_form, verify_pte_bound)
-from cancelsum.partition import GROWTH_P1
+from cancelsum.partition import GROWTH_P1, growth_p1, growth_p3
 
 
 def report(num: int, ok: bool, detail: str, sub: str = "") -> None:
     print("\ncriterion %02d%s %s: %s" % (num, sub, "PASS" if ok else "FAIL",
                                          detail))
     assert ok, "criterion %02d%s: %s" % (num, sub, detail)
-
-
-def growth_p1():
-    return mp.pi * mp.sqrt(mpf(2) / 3)
-
-
-def growth_p3():
-    return mp.pi / mp.sqrt(mpf(6))
 
 
 def test_criterion_01_pentagonal_checksum():

@@ -1,16 +1,32 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from mpmath import mp, mpf
 
 from cancelsum.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(argv):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable] + argv, env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def rows_of(out: str) -> list:
@@ -66,9 +82,28 @@ def test_resource_error_exit_3(capsys):
     assert "error" in json.loads(err)
 
 
-def test_seed_flag_accepted(capsys):
-    code, _, _ = run(["pnt-verify", "--x-max", "5", "--seed", "7"], capsys)
-    assert code == 0
+@pytest.mark.parametrize("argv", [
+    ["osc-sum", "--x", "abc"],
+    ["pte-verify", "--n", "abc", "--m", "1"],
+    ["pnt-verify", "--x-max", "abc"],
+    ["osc-sum", "--x", "1/0"],
+    ["osc-sum", "--x-grid", "geom:1:2"],
+    ["bound", "--a", "-1", "--x", "10"],
+    ["frm-degree", "--r", "0"],
+], ids=" ".join)
+def test_bad_input_one_error_line(argv):
+    proc = run_process(["-m", "cancelsum.cli"] + argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert set(json.loads(proc.stderr)) == {"error"}
+    assert proc.stdout == ""
+
+
+def test_cli_import_leaves_numpy_out():
+    proc = run_process(["-c", "import cancelsum.cli, sys; "
+                              "assert 'numpy' not in sys.modules"])
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +160,19 @@ def test_sieve_cache_roundtrip(tmp_path, capsys):
     assert code == 0
     assert second == first
     assert cache.read_bytes() == blob
+
+
+def test_truncated_sieve_cache_fails(tmp_path, capsys):
+    cache = tmp_path / "sieve.bin"
+    argv = ["psi-sum", "--x", "40", "--T", "3000", "--sieve-cache", str(cache)]
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    blob = cache.read_bytes()
+    cache.write_bytes(blob[:len(blob) // 2])
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +307,45 @@ def test_pigeonhole_rows(capsys):
     assert abs(float(row["c_float"]) - 11 / 21) < 1e-15
     _, out, _ = run(["pigeonhole", "--n", "10", "--k", "4"], capsys)
     assert rows_of(out)[0]["c"] == "0"
+
+
+def _power_reference(x: int):
+    """Exact sum of (-1)^n (x - q(n)) over q(n) = n(3n-1)/2 < x, and the
+    largest term x."""
+    n_max = math.isqrt(x) + 2
+    total = sum((-1) ** n * (x - n * (3 * n - 1) // 2)
+                for n in range(-n_max, n_max + 1) if n * (3 * n - 1) // 2 < x)
+    return mpf(total), mpf(x)
+
+
+def _bessel_reference(order: int):
+    def reference(x: int):
+        """mpmath's I_order summed over l^2 < x, and the largest term."""
+        ls = [l for l in range(-math.isqrt(x), math.isqrt(x) + 1) if l * l < x]
+        total = mp.fsum((-1) ** l * mp.besseli(order, mp.sqrt(x - l * l)) for l in ls)
+        return total, mp.besseli(order, mp.sqrt(x))
+    return reference
+
+
+@pytest.mark.parametrize("flags, reference", [
+    (["--kernel", "power", "--k-half", "1", "--form", "pentagonal"], _power_reference),
+    (["--kernel", "bessel", "--alpha-order", "0", "--c", "1", "--form", "square"],
+     _bessel_reference(0)),
+    (["--kernel", "bessel", "--alpha-order", "1", "--c", "1", "--form", "square"],
+     _bessel_reference(1)),
+], ids=["power", "bessel0", "bessel1"])
+def test_osc_sum_kernel_against_oracle(flags, reference, capsys):
+    code, out, _ = run(["osc-sum", "--x-grid", "50,400"] + flags, capsys)
+    assert code == 0
+    rows = rows_of(out)
+    assert [row["x"] for row in rows] == ["50", "400"]
+    for row in rows:
+        x, bits = int(row["x"]), int(row["bits"])
+        with mp.workprec(bits + 64):
+            want, largest = reference(x)
+            tol = largest * mpf(2) ** -(bits - 16)
+            assert abs(mpf(row["re"]) - want) <= tol
+            assert abs(mpf(row["im"])) <= tol
 
 
 def test_exponent_fit_synthetic(capsys):

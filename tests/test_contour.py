@@ -9,10 +9,7 @@ from cancelsum import (DomainError, IntegrandDescriptor, QuadratureError,
                        gauss_legendre_nodes, integrate_rectangle,
                        maximize_delta, pentagonal_form,
                        residue_identity_check, square_form)
-
-
-def growth_rate():
-    return mp.pi * mp.sqrt(mpf(2) / 3)
+from cancelsum.partition import growth_p1
 
 
 def csc_descriptor():
@@ -83,15 +80,6 @@ def test_csc_square_height_independent(ctx192):
         assert abs(low.value - high.value) <= 10 * tol * abs(low.value)
 
 
-def test_orientation_exact_negation(ctx192):
-    contour = RectContour(mpf("0.6"), mpf("0.6"))
-    plus = integrate_rectangle(csc_descriptor(), contour, ctx192, "1e-20")
-    minus = integrate_rectangle(csc_descriptor(), contour, ctx192, "1e-20",
-                                orientation=-1)
-    with ctx192.workprec():
-        assert minus.value == -plus.value
-
-
 def test_pole_proximity_precheck(ctx192):
     # vertical legs at integer abscissae sit on poles
     contour = RectContour(x_half_width=mpf(1), height_u=mpf(1))
@@ -112,9 +100,6 @@ def test_tol_validation(ctx192):
     contour = RectContour(mpf("0.6"), mpf("0.6"))
     with pytest.raises(DomainError):
         integrate_rectangle(csc_descriptor(), contour, ctx192, 0)
-    with pytest.raises(DomainError):
-        integrate_rectangle(csc_descriptor(), contour, ctx192, "1e-10",
-                            orientation=2)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +142,7 @@ def test_square_form_x50_identity(ctx320):
 
 
 def test_pentagonal_x100_identity(ctx320):
-    kernel = exp_sqrt_kernel(growth_rate)
+    kernel = exp_sqrt_kernel(growth_p1)
     report = residue_identity_check(kernel, pentagonal_form(), 100, 1, ctx320)
     assert float(report.rel_err) <= 1e-12
 
@@ -185,11 +170,11 @@ def test_rel_err_tracks_tol(ctx192):
 
 def test_leg2_exponent_band_x400(ctx320):
     # vertical legs dominate with exponent close to w*c
-    kernel = exp_sqrt_kernel(growth_rate)
+    kernel = exp_sqrt_kernel(growth_p1)
     report = residue_identity_check(kernel, pentagonal_form(), 400,
                                     mpf("1.5"), ctx320)
     assert float(report.rel_err) <= 1e-12
-    wc = float(maximize_delta(Fraction(3, 2), growth_rate)[1]) * float(growth_rate())
+    wc = float(maximize_delta(Fraction(3, 2), growth_p1)[1]) * float(growth_p1())
     observed = math.log(float(report.leg_mags[1])) / math.sqrt(400)
     assert wc - 0.1 <= observed <= wc + 0.1
 

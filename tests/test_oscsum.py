@@ -11,11 +11,7 @@ from cancelsum import (DegenerateFitError, DomainError, EmptyRangeError,
                        empirical_exponent, exp_sqrt_kernel, maximize_delta,
                        pentagonal_form, rademacher_kernel, square_form)
 from cancelsum.numerics import to_mpf_exact
-from cancelsum.partition import partition_exact
-
-
-def growth_p1():
-    return mp.pi * mp.sqrt(mpf(2) / 3)
+from cancelsum.partition import growth_p1, growth_p3, partition_exact
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +89,16 @@ def test_delta_validation():
         delta(-1, 1, 1)
     with pytest.raises(DomainError):
         delta(1, 0, 1)
+    with pytest.raises(DomainError):
+        maximize_delta(-1, 1)
+    with pytest.raises(DomainError):
+        maximize_delta(1, 0)
 
 
 def test_maximize_delta_stationarity():
     with mp.workprec(192):
         for a, c in ((mpf(1), mpf(1)), (mpf(3) / 2, growth_p1()),
-                     (mpf(1), mp.pi / mp.sqrt(6))):
+                     (mpf(1), growth_p3())):
             alpha, w = maximize_delta(a, c)
             h = mpf("1e-7")
             d1 = (delta(alpha + h, a, c) - delta(alpha - h, a, c)) / (2 * h)
@@ -176,11 +176,16 @@ def test_reordering_invariance():
     x = 2000
     kernel = rademacher_kernel("p2")
     ctx = PrecisionContext(bits=300)
-    rep_abs = alternating_sum(kernel, pentagonal_form(), x, ctx, order="abs")
-    rep_asc = alternating_sum(kernel, pentagonal_form(), x, ctx, order="ascending")
+    q = pentagonal_form()
+    rep = alternating_sum(kernel, q, x, ctx)
+    lo, hi = q.index_range(x)
     with ctx.workprec():
+        ascending = mpf(0)
+        for n in range(lo, hi + 1):
+            term = kernel.evaluate(x - q.evaluate(n), ctx)
+            ascending += term if n % 2 == 0 else -term
         scale = kernel.evaluate(x, ctx)
-        assert abs(rep_abs.value - rep_asc.value) <= scale * mpf(2) ** -(300 - 16)
+        assert abs(rep.value - ascending) <= scale * mpf(2) ** -(300 - 16)
 
 
 def test_precision_refinement():
@@ -336,6 +341,30 @@ def test_empirical_exponent_exact_line():
     assert abs(w_hat - 0.5) < 1e-12
     assert abs(intercept - 3) < 1e-10
     assert rms < 1e-12
+
+
+def test_empirical_exponent_correctly_rounded():
+    # uncentred normal equations (Cramer's rule) in exact rationals give
+    # the same least-squares solution; the fit must be its float rounding
+    rng = random.Random(7)
+    xs = [k * k for k in range(10, 90, 7)]
+    pts = [(x, mpf(rng.uniform(0.5, 2.0)) * mp.exp(mpf("0.1") * k))
+           for x, k in zip(xs, range(10, 90, 7))]
+    with mp.workprec(128):
+        ts = [Fraction(float(mp.sqrt(x))) for x, _ in pts]
+        ys = [Fraction(float(mp.log(v))) for _, v in pts]
+    n = len(ts)
+    st, sy = sum(ts), sum(ys)
+    stt = sum(t * t for t in ts)
+    sty = sum(t * y for t, y in zip(ts, ys))
+    det = n * stt - st * st
+    w = (n * sty - st * sy) / det
+    b = (stt * sy - st * sty) / det
+    w_hat, intercept, rms = empirical_exponent(pts)
+    assert w_hat == float(w)
+    assert intercept == float(b)
+    mean_sq = sum((w * t + b - y) ** 2 for t, y in zip(ts, ys)) / n
+    assert rms == float(mp.sqrt(mpf(float(mean_sq))))
 
 
 def test_empirical_exponent_errors():

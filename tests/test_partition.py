@@ -4,9 +4,9 @@ import pytest
 from mpmath import mp, mpf
 
 from cancelsum import (DomainError, ExactPartitionTable, MeinardusParams,
-                       load_table, meinardus_kernel, p1, p2, p3, p4,
-                       partition_exact, pentagonal, pnt_checksum, q1_kernel,
-                       save_table, usual_partition_params)
+                       meinardus_kernel, p1, p2, p3, p4, partition_exact,
+                       pentagonal, pnt_checksum, q1_kernel,
+                       usual_partition_params)
 from cancelsum.numerics import bessel_i, to_mpf_exact
 from cancelsum.partition import p5_kernel
 
@@ -224,20 +224,3 @@ def test_meinardus_domain_errors(ctx192):
     with pytest.raises(DomainError):
         kernel(5, ctx192)
 
-
-def test_ptab_roundtrip(tmp_path):
-    table = ExactPartitionTable()
-    table.grow(80)
-    path = str(tmp_path / "p.ptab")
-    save_table(table, path)
-    loaded = load_table(path)
-    assert [loaded.partition(k) for k in range(81)] == \
-        [table.partition(k) for k in range(81)]
-
-
-def test_ptab_rejects_garbage(tmp_path):
-    path = str(tmp_path / "bad.ptab")
-    with open(path, "wb") as fh:
-        fh.write(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(DomainError):
-        load_table(path)

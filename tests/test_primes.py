@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -22,13 +21,14 @@ def sieve1m():
     return build_sieve(1_000_000)
 
 
-def bool_prime_sieve(limit: int) -> np.ndarray:
-    """Independent oracle sieve (numpy boolean array)."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
+def bool_prime_sieve(limit: int) -> bytearray:
+    """Independent oracle sieve (one flag byte per integer)."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
     for p in range(2, int(limit ** 0.5) + 1):
         if flags[p]:
-            flags[p * p :: p] = False
+            for m in range(p * p, limit + 1, p):
+                flags[m] = 0
     return flags
 
 
@@ -61,7 +61,7 @@ def test_sieve_against_independent_oracle():
 
 def test_prime_count_million(sieve1m):
     assert sieve1m.prime_count() == 78498
-    assert int(bool_prime_sieve(1_000_000).sum()) == 78498
+    assert sum(bool_prime_sieve(1_000_000)) == 78498
 
 
 def test_sieve_limit_validation():
@@ -287,5 +287,30 @@ def test_lsiv_truncated(tmp_path, sieve600):
     blob = open(path, "rb").read()
     with open(path, "wb") as fh:
         fh.write(blob[:-7])
+    with pytest.raises(DomainError):
+        load_sieve(path)
+
+
+def test_lsiv_truncated_at_every_record_boundary(tmp_path):
+    sieve = build_sieve(100)
+    path = str(tmp_path / "t.lsiv")
+    save_sieve(sieve, path)
+    blob = open(path, "rb").read()
+    header = len(blob) - 16 * len(sieve.entries)
+    cuts = list(range(header)) + [header + 16 * k for k in range(len(sieve.entries))]
+    for cut in cuts:
+        with open(path, "wb") as fh:
+            fh.write(blob[:cut])
+        with pytest.raises(DomainError):
+            load_sieve(path)
+
+
+def test_lsiv_flipped_byte(tmp_path, sieve600):
+    path = str(tmp_path / "f.lsiv")
+    save_sieve(sieve600, path)
+    blob = bytearray(open(path, "rb").read())
+    blob[-3] ^= 1
+    with open(path, "wb") as fh:
+        fh.write(blob)
     with pytest.raises(DomainError):
         load_sieve(path)

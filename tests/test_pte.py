@@ -226,6 +226,8 @@ def test_detect_degree_validation():
         detect_degree(4, M_lo=1, count=6)  # needs >= r + 3
     with pytest.raises(DomainError):
         detect_degree(2, M_lo=0)
+    with pytest.raises(DomainError):
+        detect_degree(0)
 
 
 def test_coefficient_bounds():
