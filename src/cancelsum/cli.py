@@ -401,8 +401,12 @@ def cmd_exponent_fit(opts) -> int:
     samples = []
     if "synthetic" in opts:
         w_true, intercept = _float_pair(str(opts["synthetic"]))
-        for x in _parse_grid(opts):
-            samples.append((float(x), math.exp(w_true * math.sqrt(float(x)) + intercept)))
+        xs = _parse_grid(opts)
+        try:
+            for x in xs:
+                samples.append((float(x), math.exp(w_true * math.sqrt(float(x)) + intercept)))
+        except OverflowError:
+            raise DomainError("synthetic samples overflow a float") from None
     else:
         kernel = _kernel_from(opts)
         q = _form_from(opts)

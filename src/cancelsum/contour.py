@@ -14,9 +14,11 @@ hence the pi factor in the integrand.
 Vertical legs sit at half-integer abscissae when the gap between the
 outermost enclosed pole and the branch point allows it, else at the
 gap midpoint.  Quadrature is per-leg adaptive composite Gauss-Legendre
-with 32-point panels; the panel error estimate embeds the 16-point
-rule, and a leg converges when two successive refinement sweeps agree
-to the requested relative tolerance.
+with 32-point panels.  Splitting a panel yields the error estimate
+|parent - (left + right)|, which both halves carry; the initial panels
+have none, so the first sweep splits them all.  A leg converges when
+two successive refinement sweeps agree to the requested relative
+tolerance.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ _node_cache: dict[tuple[int, int], tuple] = {}
 
 
 def gauss_legendre_nodes(npts: int) -> tuple:
-    """Nodes and weights on [-1, 1] at the current working precision,
-    by Newton iteration on the Legendre recurrence.  Cached per
-    (npts, precision)."""
+    """Nodes and weights on [-1, 1] for an even npts at the current
+    working precision, by Newton iteration on the Legendre recurrence.
+    Cached per (npts, precision)."""
+    if npts < 2 or npts % 2:
+        raise DomainError("gauss_legendre_nodes needs an even npts >= 2, got %r" % (npts,))
     key = (npts, mp.prec)
     cached = _node_cache.get(key)
     if cached is not None:
@@ -62,13 +66,6 @@ def gauss_legendre_nodes(npts: int) -> tuple:
             w = 2 / ((1 - x * x) * dp * dp)
             pairs.append((x, w))
             pairs.append((-x, w))
-        if npts % 2 == 1:
-            x = mpf(0)
-            p0, p1 = mpf(1), x
-            for j in range(2, npts + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = npts * (x * p1 - p0) / (x * x - 1)
-            pairs.append((x, 2 / ((1 - x * x) * dp * dp)))
     result = tuple((+n, +w) for n, w in pairs)
     _node_cache[key] = result
     return result
@@ -140,7 +137,6 @@ class IntegrandDescriptor:
 
     func: Callable[[mpc], mpc]
     cut_func: Optional[Callable[[mpc], mpc]] = None
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -162,39 +158,33 @@ def _check_cut(cut_func, z: mpc) -> None:
                               % (mp.nstr(z, 12), mp.nstr(w, 12)))
 
 
-def _panel(H: IntegrandDescriptor, za: mpc, zb: mpc) -> tuple:
-    """One 32-point panel value plus the |dz|-scaled error estimate
-    against the embedded 16-point rule."""
+def _panel(H: IntegrandDescriptor, za: mpc, zb: mpc) -> mpc:
+    """The 32-point Gauss-Legendre value of one panel."""
     mid = (za + zb) / 2
     half = (zb - za) / 2
-    s32 = mpc(0)
+    s = mpc(0)
     for t, w in gauss_legendre_nodes(32):
         z = mid + half * t
         if H.cut_func is not None:
             _check_cut(H.cut_func, z)
-        s32 += w * H.func(z)
-    s16 = mpc(0)
-    for t, w in gauss_legendre_nodes(16):
-        z = mid + half * t
-        if H.cut_func is not None:
-            _check_cut(H.cut_func, z)
-        s16 += w * H.func(z)
-    return half * s32, abs(half) * abs(s32 - s16)
+        s += w * H.func(z)
+    return half * s
 
 
 def _leg_integral(H: IntegrandDescriptor, z0: mpc, z1: mpc, tol: mpf,
                   scale_hint: mpf) -> tuple:
     """Adaptive refinement sweeps; converged when two successive sweep
-    totals agree to tol relative."""
+    totals agree to tol relative.  A sweep splits the panels whose
+    halves estimate (None before their first split) exceeds their share
+    of tol, or every panel when none does."""
     length = abs(z1 - z0)
     n0 = max(2, int(mp.ceil(length / 2)))
     step = (z1 - z0) / n0
     panels = []
     for i in range(n0):
         za, zb = z0 + step * i, z0 + step * (i + 1)
-        val, err = _panel(H, za, zb)
-        panels.append([za, zb, val, err])
-    evals = 48 * n0
+        panels.append((za, zb, _panel(H, za, zb), None))
+    evals = 32 * n0
     floor = scale_hint * mpf(2) ** (16 - mp.prec)
     s_prev = None
     for level in range(MAX_REFINEMENT_LEVELS + 1):
@@ -207,19 +197,20 @@ def _leg_integral(H: IntegrandDescriptor, z0: mpc, z1: mpc, tol: mpf,
         if level == MAX_REFINEMENT_LEVELS:
             break
         threshold = tol * max(abs(s), floor) / (8 * len(panels))
-        split = [i for i, p in enumerate(panels) if p[3] > threshold]
-        if not split:
-            split = list(range(len(panels)))
+        split = [err is None or err > threshold for _, _, _, err in panels]
+        if not any(split):
+            split = [True] * len(panels)
         refined = []
-        for i, p in enumerate(panels):
-            if i in set(split):
-                zm = (p[0] + p[1]) / 2
-                for za, zb in ((p[0], zm), (zm, p[1])):
-                    val, err = _panel(H, za, zb)
-                    refined.append([za, zb, val, err])
-                    evals += 48
-            else:
-                refined.append(p)
+        for (za, zb, val, err), do_split in zip(panels, split):
+            if not do_split:
+                refined.append((za, zb, val, err))
+                continue
+            zm = (za + zb) / 2
+            left, right = _panel(H, za, zm), _panel(H, zm, zb)
+            err = abs(val - (left + right))
+            refined.append((za, zm, left, err))
+            refined.append((zm, zb, right, err))
+            evals += 64
         panels = refined
     raise QuadratureError("leg quadrature did not converge after %d refinement levels"
                           % MAX_REFINEMENT_LEVELS)
@@ -299,8 +290,7 @@ def kernel_integrand(kernel: KernelSpec, q: QuadraticForm, x,
         w = radicand(z)
         return mp.pi * kernel.evaluate_complex(w, ctx) / mp.sin(mp.pi * z)
 
-    return IntegrandDescriptor(func=func, cut_func=radicand,
-                               label="pi %s / sin(pi z)" % kernel.describe())
+    return IntegrandDescriptor(func=func, cut_func=radicand)
 
 
 def residue_identity_check(kernel: KernelSpec, q: QuadraticForm, x, u,
@@ -319,8 +309,9 @@ def residue_identity_check(kernel: KernelSpec, q: QuadraticForm, x, u,
         if denom == 0:
             raise DomainError("discrete side is zero; relative error undefined")
         rel_err = abs(quad.value - discrete) / denom
+        leg_mags = quad.leg_mags
     return ResidueReport(x=float(to_mpf_exact(x)), quad=quad.value,
                          discrete=discrete, rel_err=rel_err,
-                         leg_mags=quad.leg_mags, contour=contour,
+                         leg_mags=leg_mags, contour=contour,
                          term_count=report.term_count,
                          precision_bits=ctx.bits)

@@ -24,7 +24,11 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
+
+# The largest grid in use needs about 1,300 bits; beyond this ceiling a
+# single multiplication outgrows any run this package is meant for.
+MAX_PRECISION_BITS = 100_000
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,9 @@ class PrecisionContext:
     def __post_init__(self):
         if self.bits < 128:
             raise DomainError("PrecisionContext.bits must be >= 128, got %r" % (self.bits,))
+        if self.bits > MAX_PRECISION_BITS:
+            raise ResourceError("precision of %s bits exceeds budget %d"
+                                % (mp.nstr(mpf(self.bits), 6), MAX_PRECISION_BITS))
         if self.guard_bits < 1:
             raise DomainError("guard_bits must be positive")
 

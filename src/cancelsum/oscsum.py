@@ -130,7 +130,6 @@ class KernelSpec:
     real_eval: Callable[[object, PrecisionContext], object]
     growth: float
     complex_eval: Optional[Callable[[mpc, PrecisionContext], mpc]] = None
-    label: str = ""
 
     def evaluate(self, y, ctx: PrecisionContext):
         return self.real_eval(y, ctx)
@@ -139,9 +138,6 @@ class KernelSpec:
         if self.complex_eval is None:
             raise DomainError("kernel family %r has no complex continuation" % (self.family,))
         return self.complex_eval(w, ctx)
-
-    def describe(self) -> str:
-        return self.label or self.family
 
 
 def exp_sqrt_kernel(c) -> KernelSpec:
@@ -159,8 +155,7 @@ def exp_sqrt_kernel(c) -> KernelSpec:
         with ctx.workprec():
             return mp.exp(_resolve(c) * complex_sqrt_principal(w))
 
-    return KernelSpec("exp_sqrt", real_eval, c_value, complex_eval,
-                      label="exp_sqrt(c=%s)" % (c_value,))
+    return KernelSpec("exp_sqrt", real_eval, c_value, complex_eval)
 
 
 def rademacher_kernel(name: str) -> KernelSpec:
@@ -170,7 +165,7 @@ def rademacher_kernel(name: str) -> KernelSpec:
         def real_eval(y, ctx):
             with ctx.workprec():
                 return mp.sqrt(partition.p1(y, ctx))
-        return KernelSpec("rademacher", real_eval, partition.GROWTH_SQRT_P1, label="sqrt_p1")
+        return KernelSpec("rademacher", real_eval, partition.GROWTH_SQRT_P1)
     if name not in _RADEMACHER:
         raise DomainError("unknown rademacher kernel %r" % (name,))
     func, growth = _RADEMACHER[name]
@@ -178,7 +173,7 @@ def rademacher_kernel(name: str) -> KernelSpec:
     def real_eval(y, ctx):
         return func(y, ctx)
 
-    return KernelSpec("rademacher", real_eval, growth, label=name)
+    return KernelSpec("rademacher", real_eval, growth)
 
 
 def bessel_kernel(alpha: int, c) -> KernelSpec:
@@ -193,8 +188,7 @@ def bessel_kernel(alpha: int, c) -> KernelSpec:
         with ctx.workprec():
             return bessel_i(alpha, _resolve(c) * mp.sqrt(to_mpf_exact(y)), ctx)
 
-    return KernelSpec("bessel", real_eval, c_value,
-                      label="bessel(alpha=%d, c=%s)" % (alpha, c_value))
+    return KernelSpec("bessel", real_eval, c_value)
 
 
 def power_kernel(k_half) -> KernelSpec:
@@ -212,8 +206,7 @@ def power_kernel(k_half) -> KernelSpec:
         with ctx.workprec():
             return mpc(w) ** to_mpf_exact(exponent)
 
-    return KernelSpec("power", real_eval, 0.0, complex_eval,
-                      label="power(k/2=%s)" % (exponent,))
+    return KernelSpec("power", real_eval, 0.0, complex_eval)
 
 
 def complex_exp_kernel(alpha, beta, T) -> KernelSpec:
@@ -239,8 +232,7 @@ def complex_exp_kernel(alpha, beta, T) -> KernelSpec:
             root = complex_sqrt_principal(w)
             return mp.exp(mpc(to_mpf_exact(alpha_f), to_mpf_exact(beta_f)) * root)
 
-    return KernelSpec("complex_exp", real_eval, float(alpha_f), complex_eval,
-                      label="complex_exp(alpha=%s, beta=%s, T=%s)" % (alpha, beta, T))
+    return KernelSpec("complex_exp", real_eval, float(alpha_f), complex_eval)
 
 
 def _resolve(c) -> mpf:

@@ -29,6 +29,14 @@ def run_process(argv):
                           text=True, timeout=120)
 
 
+def assert_one_error_line(proc, code):
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert set(json.loads(proc.stderr)) == {"error"}
+    assert proc.stdout == ""
+
+
 def rows_of(out: str) -> list:
     return list(csv.DictReader(io.StringIO(out)))
 
@@ -90,14 +98,21 @@ def test_resource_error_exit_3(capsys):
     ["osc-sum", "--x-grid", "geom:1:2"],
     ["bound", "--a", "-1", "--x", "10"],
     ["frm-degree", "--r", "0"],
+    ["exponent-fit", "--synthetic", "1000,0", "--x-grid", "lin:100:10000:3"],
 ], ids=" ".join)
 def test_bad_input_one_error_line(argv):
-    proc = run_process(["-m", "cancelsum.cli"] + argv)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1
-    assert set(json.loads(proc.stderr)) == {"error"}
-    assert proc.stdout == ""
+    assert_one_error_line(run_process(["-m", "cancelsum.cli"] + argv), 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["osc-sum", "--x", "1e5000"],
+    ["osc-sum", "--x", "1e300"],
+    ["osc-sum", "--x", "1e30"],
+    ["osc-sum", "--x", "100", "--bits", "1000000"],
+], ids=" ".join)
+def test_precision_budget_exit_3(argv):
+    # auto precision for a huge x, or an explicit --bits, above the ceiling
+    assert_one_error_line(run_process(["-m", "cancelsum.cli"] + argv), 3)
 
 
 def test_cli_import_leaves_numpy_out():

@@ -7,14 +7,13 @@ from mpmath import mp, mpc, mpf
 from cancelsum import (DomainError, IntegrandDescriptor, QuadratureError,
                        RectContour, build_contour, exp_sqrt_kernel,
                        gauss_legendre_nodes, integrate_rectangle,
-                       maximize_delta, pentagonal_form,
+                       kernel_integrand, maximize_delta, pentagonal_form,
                        residue_identity_check, square_form)
 from cancelsum.partition import growth_p1
 
 
 def csc_descriptor():
-    return IntegrandDescriptor(func=lambda z: 1 / mp.sin(mp.pi * z),
-                               label="csc")
+    return IntegrandDescriptor(func=lambda z: 1 / mp.sin(mp.pi * z))
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +35,12 @@ def test_gauss_legendre_exactness():
             got = sum(w * n ** k for n, w in pairs)
             want = mpf(0) if k % 2 else mpf(2) / (k + 1)
             assert abs(got - want) < mpf(2) ** -160
+
+
+def test_gauss_legendre_rejects_odd_npts():
+    for npts in (0, 15, 33):
+        with pytest.raises(DomainError):
+            gauss_legendre_nodes(npts)
 
 
 def test_rect_contour_validation():
@@ -67,7 +72,21 @@ def test_csc_square_residue(ctx192):
     with ctx192.workprec():
         assert abs(res.value - mpc(0, 2)) < mpf("1e-28")
     assert len(res.leg_values) == 4
-    assert res.evaluations >= 4 * 2 * 32
+    # 2 initial panels per leg, each split once into 32-point halves
+    assert res.evaluations == 4 * (2 * 32 + 4 * 32)
+    assert res.levels == (1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("kernel,q,x,evaluations", [
+    (exp_sqrt_kernel(growth_p1), pentagonal_form(), 50, 2688),  # criterion 08
+    (exp_sqrt_kernel(1), square_form(1), 50, 4608),  # README contour-check
+], ids=["pentagonal-x50", "square-x50"])
+def test_evaluation_counts(ctx320, kernel, q, x, evaluations):
+    # the halves error estimate makes the count exact; a weaker
+    # estimator or an extra rule per panel shows here first
+    res = integrate_rectangle(kernel_integrand(kernel, q, x, ctx320),
+                              build_contour(q, x, 1, ctx320), ctx320, "1e-14")
+    assert res.evaluations == evaluations
 
 
 def test_csc_square_height_independent(ctx192):
@@ -156,6 +175,16 @@ def test_single_residue_window(ctx192):
     with ctx192.workprec():
         want = 2j * mp.pi * mp.exp(mp.sqrt(mpf(1) / 10))
         assert abs(report.discrete - want) < mpf(2) ** -150
+
+
+def test_leg_mags_at_working_precision(ctx320):
+    kernel, q, x = exp_sqrt_kernel(1), pentagonal_form(), Fraction(1, 10)
+    report = residue_identity_check(kernel, q, x, 1, ctx320)
+    quad = integrate_rectangle(kernel_integrand(kernel, q, x, ctx320),
+                               build_contour(q, x, 1, ctx320), ctx320, "1e-14")
+    with mp.workprec(320):
+        want = abs(quad.leg_values[1])
+        assert abs(report.leg_mags[1] - want) <= mpf(2) ** -300 * want
 
 
 def test_rel_err_tracks_tol(ctx192):

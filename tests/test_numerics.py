@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
-from cancelsum import (DomainError, PrecisionContext, bessel_i,
+from cancelsum import (DomainError, PrecisionContext, ResourceError, bessel_i,
                        complex_sqrt_principal, context_for, nstr_for_bits,
                        required_bits, to_fraction_exact, to_mpf_exact)
+from cancelsum.numerics import MAX_PRECISION_BITS
 from cancelsum.partition import GROWTH_P1
 
 # I0(2) to 40 digits, computed once by summing 60 series terms with
@@ -35,6 +36,9 @@ def test_required_bits_monotone():
 def test_context_floor_and_guard():
     with pytest.raises(DomainError):
         PrecisionContext(bits=64)
+    with pytest.raises(ResourceError):
+        PrecisionContext(bits=MAX_PRECISION_BITS + 1)
+    assert PrecisionContext(bits=MAX_PRECISION_BITS).bits == MAX_PRECISION_BITS
     ctx = PrecisionContext(bits=192)
     assert ctx.guard_bits == 32
     before = mp.prec
