@@ -23,8 +23,6 @@ import os
 import sys
 from fractions import Fraction
 
-from mpmath import mp
-
 from . import contour as contour_mod
 from . import oscsum, partition, primes, pte
 from .errors import (CancelsumError, DegreeMismatchError, DomainError,
@@ -271,9 +269,7 @@ def cmd_psi_sum(opts) -> int:
     T = _parse_number(opts["T"])
     method = opts.get("method", "bucket")
     ctx = _resolve_ctx(opts, x, 0.0)
-    with ctx.workprec():
-        limit = int(mp.ceil(mp.exp(mp.sqrt(to_mpf_exact(x))))) + 1
-    sieve = _sieve_for(limit, opts)
+    sieve = _sieve_for(primes.sieve_limit(x), opts)
     report = primes.psi_weak_pentagonal(x, T, sieve, ctx, method=method)
     row = report.to_json_dict()
     row["T"] = str(T)
@@ -288,9 +284,7 @@ def cmd_psi_half(opts) -> int:
     x = _parse_number(opts["x"])
     T = _parse_number(opts["T"])
     ctx = _resolve_ctx(opts, x, 0.0)
-    with ctx.workprec():
-        limit = int(mp.ceil(mp.exp(mp.sqrt(to_mpf_exact(x))))) + 1
-    sieve = _sieve_for(limit, opts)
+    sieve = _sieve_for(primes.sieve_limit(x), opts)
     report = primes.psi_interval_half(x, T, sieve, ctx)
     row = {"x": str(x), "T": str(T)}
     row.update(report.to_json_dict())

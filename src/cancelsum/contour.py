@@ -28,12 +28,13 @@ from typing import Callable, Optional
 
 from mpmath import mp, mpc, mpf
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, ResourceError
 from .numerics import PrecisionContext, nstr_for_bits, to_mpf_exact
 from .oscsum import KernelSpec, QuadraticForm, SumReport, alternating_sum
 
 MIN_SIN_CLEARANCE = mpf("1e-3")
 MAX_REFINEMENT_LEVELS = 20
+MAX_INITIAL_PANELS = 200_000  # per leg; each panel costs 32 evaluations
 
 _node_cache: dict[tuple[int, int], tuple] = {}
 
@@ -178,6 +179,9 @@ def _leg_integral(H: IntegrandDescriptor, z0: mpc, z1: mpc, tol: mpf,
     halves estimate (None before their first split) exceeds their share
     of tol, or every panel when none does."""
     length = abs(z1 - z0)
+    if length > 2 * MAX_INITIAL_PANELS:
+        raise ResourceError("a leg of length %s needs more than %d initial panels"
+                            % (mp.nstr(length, 6), MAX_INITIAL_PANELS))
     n0 = max(2, int(mp.ceil(length / 2)))
     step = (z1 - z0) / n0
     panels = []

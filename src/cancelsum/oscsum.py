@@ -32,11 +32,14 @@ from typing import Callable, Optional, Union
 from mpmath import mp, mpc, mpf
 
 from . import partition
-from .errors import DegenerateFitError, DomainError, EmptyRangeError, PrecisionError
+from .errors import (DegenerateFitError, DomainError, EmptyRangeError, PrecisionError,
+                     ResourceError)
 from .numerics import (PrecisionContext, complex_sqrt_principal, nstr_for_bits,
                        to_fraction_exact as _to_fraction, to_mpf_exact)
 
 Rational = Union[int, Fraction]
+
+MAX_INDEX_RANGE = 1_000_000  # widest index interval a sum or contour may span
 
 
 @dataclass(frozen=True)
@@ -72,11 +75,14 @@ class QuadraticForm:
 
     def index_range(self, x) -> tuple[int, int]:
         """Integer interval [n_lo, n_hi] where q(n) < x strictly;
-        boundary integers with q(n) = x exactly are excluded."""
+        boundary integers with q(n) = x exactly are excluded; ResourceError
+        when the interval is wider than MAX_INDEX_RANGE."""
         xf = _to_fraction(x)
         disc = self.b * self.b - 4 * self.a * (self.d - xf)
         if disc <= 0:
             raise EmptyRangeError("no integer n satisfies q(n) < %s" % (x,))
+        if disc > (self.a * MAX_INDEX_RANGE) ** 2:  # root gap sqrt(disc)/a
+            raise ResourceError("q(n) < %s spans more than %d indices" % (x, MAX_INDEX_RANGE))
         sqrt_disc = float(disc) ** 0.5
         lo = int((float(-self.b) - sqrt_disc) / (2 * float(self.a)))
         hi = int((float(-self.b) + sqrt_disc) / (2 * float(self.a)))

@@ -5,15 +5,14 @@ The sieve stores prime powers structurally as (prime_power, prime)
 pairs so Lambda(n) = log(prime) can be taken lazily at any working
 precision: one sieve serves every precision context.
 
-The two headline evaluators share one comparison predicate.  With
-thr[j] = x - j^2/T (a single correctly-rounded mpf per j) and
-lg2[n] = (log n)^2, a prime power n lies inside the j-th cutoff iff
-lg2[n] <= thr[j].  psi_weak_pentagonal aggregates per prime power
-(bucket method: each n contributes Lambda(n) * (-1)^{L(n)} where L(n)
-is the largest j whose cutoff still admits n) or per index l (direct
-method, one prefix count per l).  Both produce an exact integer
-coefficient per prime, so their results agree bit for bit, which is
-what the oracle-equivalence gate checks.
+Every psi value counts prime powers by one rule: n lies inside cutoff j
+iff n <= N_j = floor(e^{sqrt(x - j^2/T)}), an exact integer computed
+once per index.  psi_weak_pentagonal aggregates per prime power (bucket
+method: each n contributes Lambda(n) * (-1)^{J(n)} where J(n) is the
+largest j with n <= N_j) or per index j (direct method, one prefix count
+per j).  Both produce an exact integer coefficient per prime, so their
+results agree bit for bit, which is what the oracle-equivalence gate
+checks.  Precision enters only through the sums of log p.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from mpmath import mp, mpc, mpf
+from mpmath import iv, mp, mpc, mpf
 
 from .errors import DomainError, ResourceError
 from .numerics import PrecisionContext, nstr_for_bits, to_fraction_exact, to_mpf_exact
@@ -46,7 +45,7 @@ class LambdaSieve:
         self.limit = limit
         self.entries = entries
         self._pp = [pp for pp, _ in entries]
-        self._cache: dict[int, tuple[list, list]] = {}  # prec -> (lg2 list, prefix log sums)
+        self._cache: dict[int, list] = {}  # prec -> prefix log sums
 
     def lambda_at(self, n: int):
         """(prime, exponent) when n is a prime power <= limit, else None."""
@@ -64,23 +63,20 @@ class LambdaSieve:
     def prime_count(self) -> int:
         return sum(1 for pp, p in self.entries if pp == p)
 
-    def arrays_at(self, prec: int) -> tuple[list, list]:
-        """((log n)^2 per entry, prefix sums of log p) at binary precision
-        `prec`; both ascending-aligned with entries."""
+    def arrays_at(self, prec: int) -> list:
+        """Prefix sums of log p at binary precision `prec`: entry i is
+        psi just below the i-th prime power."""
         cached = self._cache.get(prec)
         if cached is not None:
             return cached
         with mp.workprec(prec):
-            lg2 = []
             prefix = [mpf(0)]
             running = mpf(0)
-            for pp, p in self.entries:
-                ln = mp.log(pp)
-                lg2.append(ln * ln)
+            for _, p in self.entries:
                 running += mp.log(p)
                 prefix.append(running)
-        self._cache[prec] = (lg2, prefix)
-        return lg2, prefix
+        self._cache[prec] = prefix
+        return prefix
 
 
 def build_sieve(limit: int) -> LambdaSieve:
@@ -105,84 +101,96 @@ def build_sieve(limit: int) -> LambdaSieve:
     return LambdaSieve(limit, entries)
 
 
+def sieve_limit(x) -> int:
+    """A sieve limit covering every cutoff of the psi sums at x,
+    ceil(e^sqrt(x)) + 1.  ResourceError past MAX_SIEVE_LIMIT, decided
+    on a 64-bit value before any integer of that size exists."""
+    xf = to_fraction_exact(x)
+    if xf <= 0:
+        raise DomainError("psi sums need x > 0")
+    with mp.workprec(64):
+        xv = to_mpf_exact(xf)
+        if xv > mp.log(MAX_SIEVE_LIMIT) ** 2:
+            raise ResourceError("psi sums at x=%s need a sieve to e^sqrt(x), beyond budget %d"
+                                % (x, MAX_SIEVE_LIMIT))
+        return int(mp.ceil(mp.exp(mp.sqrt(xv)))) + 1
+
+
 def psi(y, sieve: LambdaSieve, ctx: PrecisionContext) -> mpf:
     """Chebyshev psi(y) = sum of Lambda(n) over n <= y."""
     if y > sieve.limit:
         raise DomainError("psi argument %s exceeds sieve limit %d" % (y, sieve.limit))
     yf = to_fraction_exact(y)
-    if yf < 2:
-        return mpf(0)
-    cutoff = yf.numerator // yf.denominator
-    _, prefix = sieve.arrays_at(ctx.bits + ctx.guard_bits)
-    count = bisect_right(sieve._pp, cutoff)
+    prefix = sieve.arrays_at(ctx.bits + ctx.guard_bits)
+    count = bisect_right(sieve._pp, yf.numerator // yf.denominator)
     with ctx.workprec():
         return +prefix[count]
 
 
 def _ell_max(x, T) -> int:
     """Largest L with L^2 < x*T (exact rational comparison)."""
-    xt = to_fraction_exact(x) * to_fraction_exact(T)
-    if xt < 1:
-        raise DomainError("need x*T >= 1 so the index range is nonempty")
-    L = isqrt(int(xt))
-    while Fraction(L * L) >= xt:
-        L -= 1
-    while Fraction((L + 1) * (L + 1)) < xt:
-        L += 1
-    return L
-
-
-def _thresholds(x, T, L: int, prec: int) -> list:
-    """thr[j] = x - j^2/T for j = 0..L, each as one correctly-rounded mpf."""
-    xf = to_fraction_exact(x)
     Tf = to_fraction_exact(T)
-    with mp.workprec(prec):
-        return [to_mpf_exact(xf - Fraction(j * j) / Tf) for j in range(L + 1)]
+    xt = to_fraction_exact(x) * Tf
+    if Tf <= 0 or xt < 1:
+        raise DomainError("need T > 0 and x*T >= 1 so the index range is nonempty")
+    L = isqrt(int(xt))
+    return L - 1 if L * L == xt else L
 
 
-def _check_range(x, sieve: LambdaSieve) -> None:
-    with mp.workprec(64):
-        reach = mp.exp(mp.sqrt(to_mpf_exact(to_fraction_exact(x))))
-    if reach > sieve.limit:
-        raise DomainError(
-            "psi sums at x=%s reach e^sqrt(x)=%s beyond the sieve limit %d"
-            % (x, mp.nstr(reach, 8), sieve.limit))
+def _cutoff(t: Fraction, limit: int) -> int:
+    """floor(e^sqrt(t)) for rational t > 0, exactly; DomainError when it
+    exceeds `limit`.  Interval bounds start at 64 bits and double until
+    both floors agree.  That always ends: e^sqrt(t) is transcendental
+    (Lindemann-Weierstrass), so it is never an integer."""
+    saved = iv.prec
+    iv.prec = 64
+    try:
+        while True:
+            v = iv.exp(iv.sqrt(iv.mpf(t.numerator) / t.denominator))
+            if v.a >= limit + 1:
+                raise DomainError("cutoff e^sqrt(%s) lies beyond the sieve limit %d"
+                                  % (t, limit))
+            lo, hi = int(v.a), int(v.b)
+            if lo == hi:
+                return lo
+            iv.prec *= 2
+    finally:
+        iv.prec = saved
 
 
-def lambda_coefficients(x, T, sieve: LambdaSieve, ctx: PrecisionContext,
-                        method: str = "bucket") -> dict[int, int]:
+def _cutoffs(x, T, sieve: LambdaSieve) -> list[int]:
+    """[N_0, ..., N_L], N_j = floor(e^{sqrt(x - j^2/T)}): a prime power n
+    lies inside cutoff j iff n <= N_j.  DomainError when N_0 exceeds the
+    sieve limit."""
+    xf, Tf = to_fraction_exact(x), to_fraction_exact(T)
+    return [_cutoff(xf - Fraction(j * j) / Tf, sieve.limit)
+            for j in range(_ell_max(xf, Tf) + 1)]
+
+
+def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> dict[int, int]:
     """Exact integer coefficient per prime p in
     sum_{l^2 < xT} (-1)^l Psi(e^{sqrt(x - l^2/T)}) = sum_p coeff[p] log p.
 
-    method="bucket" walks prime powers once; method="direct" walks the
-    index l and counts a prefix per l.  Identical predicate, independent
-    aggregation.
+    method="bucket" walks prime powers once, bisecting the cutoffs;
+    method="direct" walks the index j and counts a prefix per j.
+    Identical cutoffs, independent aggregation.
     """
-    _check_range(x, sieve)
-    prec = ctx.bits + ctx.guard_bits
-    L = _ell_max(x, T)
-    thr = _thresholds(x, T, L, prec)
-    lg2, _ = sieve.arrays_at(prec)
-    n_inside = bisect_right(lg2, thr[0])
+    if method not in ("bucket", "direct"):
+        raise DomainError("unknown method %r" % (method,))
+    cut = _cutoffs(x, T, sieve)
+    n_inside = bisect_right(sieve._pp, cut[0])
     coeff: dict[int, int] = {}
     if method == "bucket":
-        for i in range(n_inside):
-            v = lg2[i]
-            # largest j in [0, L] with thr[j] >= v (thr is decreasing)
-            lo, hi = 0, L
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if thr[mid] >= v:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            p = sieve.entries[i][1]
-            coeff[p] = coeff.get(p, 0) + (1 if lo % 2 == 0 else -1)
-    elif method == "direct":
-        # per-l prefix counts, spread onto prime powers by a difference array
+        neg = [-n for n in cut]  # ascending
+        for pp, p in sieve.entries[:n_inside]:
+            # largest j with pp <= N_j
+            j = bisect_right(neg, -pp) - 1
+            coeff[p] = coeff.get(p, 0) + (1 if j % 2 == 0 else -1)
+    else:
+        # per-j prefix counts, spread onto prime powers by a difference array
         span = [0] * (n_inside + 1)
-        for j in range(L + 1):
-            cnt = bisect_right(lg2, thr[j], 0, n_inside)
+        for j, n in enumerate(cut):
+            cnt = bisect_right(sieve._pp, n, 0, n_inside)
             s = (1 if j % 2 == 0 else -1) * (1 if j == 0 else 2)
             if cnt > 0:
                 span[0] += s
@@ -193,8 +201,6 @@ def lambda_coefficients(x, T, sieve: LambdaSieve, ctx: PrecisionContext,
             if running:
                 p = sieve.entries[i][1]
                 coeff[p] = coeff.get(p, 0) + running
-    else:
-        raise DomainError("unknown method %r" % (method,))
     return {p: c for p, c in coeff.items() if c != 0}
 
 
@@ -210,7 +216,7 @@ def coefficients_value(coeff: dict[int, int], ctx: PrecisionContext) -> mpf:
 def psi_weak_pentagonal(x, T, sieve: LambdaSieve, ctx: PrecisionContext,
                         method: str = "bucket") -> SumReport:
     """sum over integers l with l^2 < xT of (-1)^l Psi(e^{sqrt(x - l^2/T)})."""
-    coeff = lambda_coefficients(x, T, sieve, ctx, method=method)
+    coeff = lambda_coefficients(x, T, sieve, method=method)
     value = coefficients_value(coeff, ctx)
     L = _ell_max(x, T)
     with ctx.workprec():
@@ -248,16 +254,12 @@ class IntervalHalfReport:
 
 
 def threshold_psi(x, T, j: int, sieve: LambdaSieve, ctx: PrecisionContext) -> mpf:
-    """psi(e^{sqrt(x - j^2/T)}) through the shared cutoff predicate."""
-    _check_range(x, sieve)
-    prec = ctx.bits + ctx.guard_bits
-    L = _ell_max(x, T)
+    """psi(e^{sqrt(x - j^2/T)}) = psi(N_j)."""
+    xf, Tf = to_fraction_exact(x), to_fraction_exact(T)
+    L = _ell_max(xf, Tf)
     if not 0 <= j <= L:
         raise DomainError("threshold index %d outside 0..%d" % (j, L))
-    thr = _thresholds(x, T, L, prec)
-    lg2, prefix = sieve.arrays_at(prec)
-    with ctx.workprec():
-        return +prefix[bisect_right(lg2, thr[j])]
+    return psi(_cutoff(xf - Fraction(j * j) / Tf, sieve.limit), sieve, ctx)
 
 
 def psi_interval_half(x, T, sieve: LambdaSieve, ctx: PrecisionContext) -> IntervalHalfReport:
@@ -271,22 +273,15 @@ def psi_interval_half(x, T, sieve: LambdaSieve, ctx: PrecisionContext) -> Interv
       lhs - rhs = -S/2 - boundary,
     with boundary = psi at cutoff L when L is odd, else 0.
     """
-    _check_range(x, sieve)
-    prec = ctx.bits + ctx.guard_bits
-    L = _ell_max(x, T)
-    thr = _thresholds(x, T, L, prec)
-    lg2, prefix = sieve.arrays_at(prec)
-
-    def cutoff_psi(j: int) -> mpf:
-        return prefix[bisect_right(lg2, thr[j])]
-
+    psi_at = [psi(n, sieve, ctx) for n in _cutoffs(x, T, sieve)]
+    L = len(psi_at) - 1
     with ctx.workprec():
         lhs = mpf(0)
         for l in range(1, L // 2 + 1):
-            lhs += cutoff_psi(2 * l - 1) - cutoff_psi(2 * l)
-        full = cutoff_psi(0)
+            lhs += psi_at[2 * l - 1] - psi_at[2 * l]
+        full = psi_at[0]
         rhs = full / 2
-        boundary = cutoff_psi(L) if L % 2 == 1 else mpf(0)
+        boundary = psi_at[L] if L % 2 == 1 else mpf(0)
         rel_err = abs(lhs - rhs) / full if full > 0 else mpf(0)
     return IntervalHalfReport(lhs=lhs, rhs=rhs, rel_err=rel_err, boundary=boundary,
                               ell_max=L, psi_full=full, precision_bits=ctx.bits)
@@ -294,14 +289,14 @@ def psi_interval_half(x, T, sieve: LambdaSieve, ctx: PrecisionContext) -> Interv
 
 def interval_union_measure(x, T, ctx: PrecisionContext) -> mpf:
     """Lebesgue measure of the interval union, normalized by e^{sqrt(x)}."""
-    prec = ctx.bits + ctx.guard_bits
-    L = _ell_max(x, T)
-    thr = _thresholds(x, T, L, prec)
+    xf, Tf = to_fraction_exact(x), to_fraction_exact(T)
+    L = _ell_max(xf, Tf)
     with ctx.workprec():
+        reach = [mp.exp(mp.sqrt(to_mpf_exact(xf - Fraction(j * j) / Tf))) for j in range(L + 1)]
         total = mpf(0)
         for l in range(1, L // 2 + 1):
-            total += mp.exp(mp.sqrt(thr[2 * l - 1])) - mp.exp(mp.sqrt(thr[2 * l]))
-        return total / mp.exp(mp.sqrt(thr[0]))
+            total += reach[2 * l - 1] - reach[2 * l]
+        return total / reach[0]
 
 
 LSIV_MAGIC = b"LSIV"

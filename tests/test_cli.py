@@ -109,9 +109,24 @@ def test_bad_input_one_error_line(argv):
     ["osc-sum", "--x", "1e300"],
     ["osc-sum", "--x", "1e30"],
     ["osc-sum", "--x", "100", "--bits", "1000000"],
+    ["psi-sum", "--x", "1e30", "--T", "1"],
+    ["psi-half", "--x", "1e30", "--T", "1"],
 ], ids=" ".join)
 def test_precision_budget_exit_3(argv):
-    # auto precision for a huge x, or an explicit --bits, above the ceiling
+    # auto precision for a huge x, an explicit --bits, or a sieve to
+    # e^sqrt(x), above the ceiling
+    assert_one_error_line(run_process(["-m", "cancelsum.cli"] + argv), 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["contour-check", "--x", "1e30", "--kernel", "exp_sqrt"],
+    ["osc-sum", "--x", "1e30", "--kernel", "power"],
+    ["lemma-sum", "--x", "1e30", "--T", "1", "--k", "2"],
+    ["contour-check", "--x", "50", "--u", "1e20", "--kernel", "exp_sqrt", "--c", "1",
+     "--form", "square"],
+], ids=" ".join)
+def test_work_budget_exit_3(argv):
+    # index ranges and initial contour panels are capped before any work
     assert_one_error_line(run_process(["-m", "cancelsum.cli"] + argv), 3)
 
 

@@ -8,7 +8,8 @@ from cancelsum import (DomainError, LambdaSieve, PrecisionContext,
                        ResourceError, build_sieve, coefficients_value,
                        interval_union_measure, lambda_coefficients,
                        load_sieve, psi, psi_interval_half,
-                       psi_weak_pentagonal, save_sieve, threshold_psi)
+                       psi_weak_pentagonal, save_sieve, threshold_psi,
+                       to_fraction_exact)
 
 
 @pytest.fixture(scope="module")
@@ -145,9 +146,9 @@ def test_weak_sum_requires_sieve_coverage(sieve600, ctx192):
         psi_weak_pentagonal(45, 3000, sieve600, ctx192)
 
 
-def test_unknown_method_rejected(sieve600, ctx192):
+def test_unknown_method_rejected(sieve600):
     with pytest.raises(DomainError):
-        lambda_coefficients(40, 3000, sieve600, ctx192, method="nope")
+        lambda_coefficients(40, 3000, sieve600, method="nope")
 
 
 def test_bucket_equals_direct_seeded(sieve100k, ctx128):
@@ -167,18 +168,18 @@ def test_bucket_equals_direct_seeded(sieve100k, ctx128):
             T = Fraction(rng.randint(1, 40000), rng.randint(1, 7))
         if x * T < 1:
             T = Fraction(2, 1) / x
-        bucket = lambda_coefficients(x, T, sieve100k, ctx128, method="bucket")
-        direct = lambda_coefficients(x, T, sieve100k, ctx128, method="direct")
+        bucket = lambda_coefficients(x, T, sieve100k, method="bucket")
+        direct = lambda_coefficients(x, T, sieve100k, method="direct")
         assert bucket == direct
         vb = coefficients_value(bucket, ctx128)
         vd = coefficients_value(direct, ctx128)
         assert vb == vd
 
 
-def test_coefficients_are_bounded_counts(sieve600, ctx192):
+def test_coefficients_are_bounded_counts(sieve600):
     # each prime's coefficient is a signed count of sub-cutoffs, bounded
     # by the number of admissible powers times the index count
-    coeff = lambda_coefficients(40, 3000, sieve600, ctx192)
+    coeff = lambda_coefficients(40, 3000, sieve600)
     L = 346
     for p, c in coeff.items():
         assert isinstance(c, int)
@@ -238,6 +239,25 @@ def test_interval_half_telescoping_complement(sieve600, ctx192):
         want = (threshold_psi(x, T, 1, sieve600, ctx192) -
                 threshold_psi(x, T, L, sieve600, ctx192))
         assert abs(total - want) <= rep.psi_full * mpf(2) ** -(192 - 16)
+
+
+def test_threshold_psi_near_tie(sieve1m, ctx128):
+    # t within 2^-400 of (log n)^2: e^sqrt(t) sits just below or just
+    # above the prime n, far inside any rounding of (log n)^2 at 128 bits
+    n = 999983
+    with mp.workprec(2000):
+        lg2 = to_fraction_exact(mp.log(n) ** 2)
+    eps = Fraction(1, 2 ** 400)
+    assert threshold_psi(lg2 - eps, 1, 0, sieve1m, ctx128) == psi(n - 1, sieve1m, ctx128)
+    assert threshold_psi(lg2 + eps, 1, 0, sieve1m, ctx128) == psi(n, sieve1m, ctx128)
+
+
+def test_threshold_psi_against_floor_oracle(sieve600, ctx192):
+    # every cutoff of (40, 3000) against floor(e^sqrt(40 - j^2/3000)) at 256 bits
+    for j in range(347):
+        with mp.workprec(256):
+            n = int(mp.floor(mp.exp(mp.sqrt(40 - mpf(j * j) / 3000))))
+        assert threshold_psi(40, 3000, j, sieve600, ctx192) == psi(n, sieve600, ctx192)
 
 
 def test_threshold_psi_validation(sieve600, ctx192):
