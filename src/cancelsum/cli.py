@@ -8,8 +8,8 @@ decimal strings, never binary floats, and identical configurations
 produce byte-identical output.
 
 Exit codes: 0 success, 1 violated identity or failed check,
-2 usage/domain error, 3 resource error.  Module errors and malformed
-numbers print a machine-readable {"error": ...} object on stderr.
+2 usage/domain error, 3 resource error.  Every error, argparse usage
+errors included, prints one {"error": ...} line on stderr.
 """
 
 from __future__ import annotations
@@ -268,6 +268,8 @@ def cmd_psi_sum(opts) -> int:
     x = _parse_number(opts["x"])
     T = _parse_number(opts["T"])
     method = opts.get("method", "bucket")
+    if method not in primes.PSI_METHODS:
+        raise DomainError("unknown method %r" % (method,))
     ctx = _resolve_ctx(opts, x, 0.0)
     sieve = _sieve_for(primes.sieve_limit(x), opts)
     report = primes.psi_weak_pentagonal(x, T, sieve, ctx, method=method)
@@ -441,9 +443,15 @@ _DISPATCH = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise DomainError (exit 2, one {"error": ...} line)."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False,
-                                     argument_default=argparse.SUPPRESS)
+    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--bits", help="precision bits or 'auto'")
     common.add_argument("--format", choices=["csv", "json"])
     common.add_argument("--out", help="output path (default stdout)")
@@ -451,8 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="prime-power table cache path")
     common.add_argument("--config", help="JSON config mirroring flags; flags win")
 
-    parser = argparse.ArgumentParser(prog="cancelsum",
-                                     description="high-cancellation sum toolkit")
+    parser = _Parser(prog="cancelsum", description="high-cancellation sum toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, *flags):
@@ -494,7 +501,10 @@ def _merge_config(opts: dict) -> dict:
     if not path:
         return opts
     with open(path) as fh:
-        loaded = json.load(fh)
+        try:
+            loaded = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DomainError("config %s is not JSON: %s" % (path, exc)) from None
     if not isinstance(loaded, dict):
         raise DomainError("config must be a JSON object")
     merged = dict(loaded)
@@ -503,11 +513,9 @@ def _merge_config(opts: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    opts = vars(args)
-    command = opts.pop("command")
     try:
+        opts = vars(_build_parser().parse_args(argv))
+        command = opts.pop("command")
         opts = _merge_config(opts)
         return _DISPATCH[command](opts)
     except (DomainError, PrecisionError) as exc:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import sqrt
 from typing import Callable, Optional, Union
 
@@ -334,108 +333,63 @@ def alternating_sum(kernel: KernelSpec, q: QuadraticForm, x, ctx: PrecisionConte
 
 def delta(r, a, c) -> mpf:
     """Delta(r) = sqrt(sqrt(a) r (sqrt(a r^2 + 4) + r sqrt(a)) / 2) - pi r / c."""
-    if r < 0:
-        raise DomainError("delta needs r >= 0")
-    if a <= 0 or c <= 0:
-        raise DomainError("delta needs a, c > 0")
     with mp.workprec(192):
-        rr, aa, cc = to_mpf_exact(_num(r)), to_mpf_exact(_num(a)), to_mpf_exact(_num(c))
+        rr, aa, cc = _resolve(r), _resolve(a), _resolve(c)
+        if rr < 0:
+            raise DomainError("delta needs r >= 0")
+        if aa <= 0 or cc <= 0:
+            raise DomainError("delta needs a, c > 0")
         sa = mp.sqrt(aa)
         inner = sa * rr * (mp.sqrt(aa * rr * rr + 4) + rr * sa) / 2
         return mp.sqrt(inner) - mp.pi * rr / cc
 
 
-def _delta_prime(r, a, c) -> mpf:
-    """Analytic d/dr of delta (for the maximizer refinement)."""
-    with mp.workprec(192):
-        rr, aa, cc = to_mpf_exact(_num(r)), to_mpf_exact(_num(a)), to_mpf_exact(_num(c))
-        sa = mp.sqrt(aa)
-        disc = mp.sqrt(aa * rr * rr + 4)
-        g = sa * rr * (disc + rr * sa) / 2
-        if g == 0:
-            return mpf("inf")
-        gp = sa * (disc + rr * sa) / 2 + sa * rr * (aa * rr / disc + sa) / 2
-        return gp / (2 * mp.sqrt(g)) - mp.pi / cc
-
-
-def _num(v):
-    """Resolve a callable/string constant to a numeric value."""
-    if callable(v):
-        return v()
-    if isinstance(v, str):
-        return mpf(v)
-    return v
-
-
-@lru_cache(maxsize=256)
-def _maximize_delta_cached(a_key, c_key):
-    a = Fraction(a_key)
-    with mp.workprec(192):
-        c = mpf(c_key)
-        r_max = 4 * c / mp.pi * (1 + 1 / mp.sqrt(to_mpf_exact(a))) + 4
-        if _delta_prime(r_max, a, c) >= 0:
-            # Delta still increasing at the search boundary (c > pi/sqrt(a)):
-            # the supremum is the endpoint and w caps at 1.
-            return r_max, min(mpf(1), delta(r_max, a, c))
-        inv_phi = (mp.sqrt(5) - 1) / 2
-        lo, hi = mpf(0), r_max
-        f = lambda t: delta(t, a, c)
-        x1 = hi - inv_phi * (hi - lo)
-        x2 = lo + inv_phi * (hi - lo)
-        f1, f2 = f(x1), f(x2)
-        for _ in range(400):
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + inv_phi * (hi - lo)
-                f2 = f(x2)
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - inv_phi * (hi - lo)
-                f1 = f(x1)
-            if hi - lo < mpf(2) ** -160:
-                break
-        alpha_star = (lo + hi) / 2
-        if abs(_delta_prime(alpha_star, a, c)) > mpf("1e-12"):
-            # steep-curvature regimes (tiny c puts the max near 0 where
-            # Delta'' blows up) need a derivative polish on top of the
-            # bracketing search
-            try:
-                root = mp.findroot(lambda t: _delta_prime(t, a, c),
-                                   alpha_star, solver="secant")
-                if 0 < root < r_max and delta(root, a, c) >= delta(alpha_star, a, c):
-                    alpha_star = mpf(root.real) if isinstance(root, mpc) else mpf(root)
-            except (ValueError, ZeroDivisionError):
-                pass
-        if abs(_delta_prime(alpha_star, a, c)) > mpf("1e-12"):
-            raise DomainError("golden section failed to localize the Delta maximizer")
-        val = f(alpha_star)
-        if val <= 0:
-            return mpf(0), mpf(0)
-        return alpha_star, min(mpf(1), val)
-
-
 def maximize_delta(a, c) -> tuple[mpf, mpf]:
     """Maximizer alpha_star of Delta over [0, R_max] and w = min(1, Delta(alpha_star)).
 
-    R_max = 4c/pi (1 + 1/sqrt(a)) + 4, beyond which Delta is dominated
-    by its linear term whenever c < pi/sqrt(a); if Delta is still
-    increasing at R_max the bound degenerates and w = 1.
+    In terms of Delta's radicand e = sqrt(a) r (sqrt(a r^2 + 4) + r sqrt(a)) / 2,
+    which increases with r and inverts as r = e / (sqrt(a) sqrt(1 + e)),
+    Delta'(r) = 0 exactly where the cubic
+
+        g(e) = pi^2 e (e + 2)^2 - a c^2 (1 + e)^3
+
+    vanishes, and Delta' > 0 exactly where g < 0.  g has at most two
+    positive roots (Descartes' rule of signs) and g(0) = -a c^2 < 0, so a
+    sign change g(e_max) > 0 at R_max = 4c/pi (1 + 1/sqrt(a)) + 4 brackets
+    exactly one root of g, which is the maximizer.  For the partition
+    case a = 3/2, c = pi sqrt(2/3) the cubic reduces to pi^2 (e^2 + e - 1),
+    so e = 1/phi, alpha_star = sqrt(2/3) phi^{-3/2} and w = phi^{-5/2}.
+    If g(e_max) <= 0, Delta is still increasing at R_max (it is unbounded
+    when c sqrt(a) > pi): alpha_star = R_max and w = 1.
+
+    Computed at the current working precision, never below 192 bits.
     """
-    a_frac = _to_fraction(a)
-    with mp.workprec(192):
-        c_value = to_mpf_exact(_num(c))
-        if a_frac <= 0 or c_value <= 0:
+    with mp.workprec(max(mp.prec, 192)):
+        aa, cc = _resolve(a), _resolve(c)
+        if aa <= 0 or cc <= 0:
             raise DomainError("maximize_delta needs a, c > 0")
-        c_key = mp.nstr(c_value, 50)
-    return _maximize_delta_cached(str(a_frac), c_key)
+        sa, pi2, ac2 = mp.sqrt(aa), mp.pi ** 2, aa * cc * cc
+        g = lambda e: pi2 * e * (e + 2) ** 2 - ac2 * (1 + e) ** 3
+        r_max = 4 * cc / mp.pi * (1 + 1 / sa) + 4
+        s = sa * r_max
+        e_max = s * (mp.sqrt(s * s + 4) + s) / 2
+        if g(e_max) <= 0:
+            return r_max, mpf(1)
+        e = mp.findroot(g, (0, e_max), solver="anderson")
+        alpha_star = e / (sa * mp.sqrt(1 + e))
+        return alpha_star, min(mpf(1), mp.sqrt(e) - mp.pi * alpha_star / cc)
 
 
 def bound_main1(a, c, x, ctx: PrecisionContext) -> mpf:
-    """Predicted ceiling sqrt(x) e^{w c sqrt(x)} for the real-kernel sum."""
-    _, w = maximize_delta(a, c)
+    """Predicted ceiling sqrt(x) e^{w c sqrt(x)} for the real-kernel sum.
+
+    w comes from maximize_delta at the context's working precision, so
+    every digit of the bound is carried by the exact stationarity root.
+    """
     with ctx.workprec():
+        _, w = maximize_delta(a, c)
         sx = mp.sqrt(to_mpf_exact(_to_fraction(x)))
-        return sx * mp.exp(w * to_mpf_exact(_num(c)) * sx)
+        return sx * mp.exp(w * _resolve(c) * sx)
 
 
 def complex_alternating_sum(alpha, beta, T, x, ctx: PrecisionContext,
@@ -449,12 +403,12 @@ def complex_alternating_sum(alpha, beta, T, x, ctx: PrecisionContext,
 def bound_main2(alpha, beta, T, x, delta_slack) -> mpf:
     """sqrt(T/(|beta|+1)) e^{alpha (sqrt(2/(2+pi^2)) + delta) sqrt(x)} + sqrt(T)."""
     with mp.workprec(192):
-        slack = to_mpf_exact(_num(delta_slack))
+        slack = _resolve(delta_slack)
         if slack <= 0:
             raise DomainError("bound_main2 needs delta_slack > 0")
         Tf = to_mpf_exact(_to_fraction(T))
-        af = to_mpf_exact(_num(alpha))
-        bf = abs(to_mpf_exact(_num(beta)))
+        af = _resolve(alpha)
+        bf = abs(_resolve(beta))
         base = mp.sqrt(2 / (2 + mp.pi ** 2)) + slack
         sx = mp.sqrt(to_mpf_exact(_to_fraction(x)))
         return mp.sqrt(Tf / (bf + 1)) * mp.exp(af * base * sx) + mp.sqrt(Tf)
@@ -475,7 +429,7 @@ def empirical_exponent(samples) -> tuple[float, float, float]:
     logs = []
     with mp.workprec(128):
         for x, abs_value in pts:
-            av = to_mpf_exact(_num(abs_value)) if not isinstance(abs_value, mpf) else abs_value
+            av = abs_value if isinstance(abs_value, mpf) else _resolve(abs_value)
             if av <= 0:
                 raise DomainError("empirical_exponent needs abs_value > 0")
             roots.append(float(mp.sqrt(to_mpf_exact(_to_fraction(x)))))

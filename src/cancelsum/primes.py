@@ -29,9 +29,13 @@ from mpmath import iv, mp, mpc, mpf
 
 from .errors import DomainError, ResourceError
 from .numerics import PrecisionContext, nstr_for_bits, to_fraction_exact, to_mpf_exact
-from .oscsum import SumReport
+from .oscsum import MAX_INDEX_RANGE, SumReport
 
-MAX_SIEVE_LIMIT = 100_000_000  # one byte per integer during construction
+# A psi run peaks near 1 byte per integer (sieve flags) plus ~190 bytes per
+# prime power (index entry and log-p prefix sum; peak RSS, CPython 3.11):
+# ~500 MB for the 2.05M prime powers of psi-sum --x 300, ~1.2 GB at the cap.
+MAX_SIEVE_LIMIT = 100_000_000
+PSI_METHODS = ("bucket", "direct")
 
 
 class LambdaSieve:
@@ -128,11 +132,14 @@ def psi(y, sieve: LambdaSieve, ctx: PrecisionContext) -> mpf:
 
 
 def _ell_max(x, T) -> int:
-    """Largest L with L^2 < x*T (exact rational comparison)."""
+    """Largest L with L^2 < x*T (exact rational comparison); ResourceError
+    when the 2 sqrt(xT) wide index range exceeds MAX_INDEX_RANGE."""
     Tf = to_fraction_exact(T)
     xt = to_fraction_exact(x) * Tf
     if Tf <= 0 or xt < 1:
         raise DomainError("need T > 0 and x*T >= 1 so the index range is nonempty")
+    if 4 * xt > MAX_INDEX_RANGE ** 2:
+        raise ResourceError("l^2 < x*T = %s spans more than %d indices" % (xt, MAX_INDEX_RANGE))
     L = isqrt(int(xt))
     return L - 1 if L * L == xt else L
 
@@ -175,7 +182,7 @@ def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> dic
     method="direct" walks the index j and counts a prefix per j.
     Identical cutoffs, independent aggregation.
     """
-    if method not in ("bucket", "direct"):
+    if method not in PSI_METHODS:
         raise DomainError("unknown method %r" % (method,))
     cut = _cutoffs(x, T, sieve)
     n_inside = bisect_right(sieve._pp, cut[0])

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,9 +6,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from cancelsum.cli import main
@@ -78,9 +81,18 @@ def test_unknown_form_exit_2(capsys):
 
 
 def test_bad_format_choice_usage_error(capsys):
+    code, out, err = run(["pnt-verify", "--x-max", "5", "--format", "xml"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "xml" in json.loads(err)["error"]
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as info:
-        main(["pnt-verify", "--x-max", "5", "--format", "xml"])
-    assert info.value.code == 2
+        main(["--help"])
+    assert info.value.code == 0
+    assert "pnt-verify" in capsys.readouterr().out
 
 
 def test_resource_error_exit_3(capsys):
@@ -99,6 +111,9 @@ def test_resource_error_exit_3(capsys):
     ["bound", "--a", "-1", "--x", "10"],
     ["frm-degree", "--r", "0"],
     ["exponent-fit", "--synthetic", "1000,0", "--x-grid", "lin:100:10000:3"],
+    ["osc-sum", "--bogus", "1"],
+    ["osc-sum", "--x", "10", "--format", "xml"],
+    pytest.param([], id="no subcommand"),
 ], ids=" ".join)
 def test_bad_input_one_error_line(argv):
     assert_one_error_line(run_process(["-m", "cancelsum.cli"] + argv), 2)
@@ -124,6 +139,8 @@ def test_precision_budget_exit_3(argv):
     ["lemma-sum", "--x", "1e30", "--T", "1", "--k", "2"],
     ["contour-check", "--x", "50", "--u", "1e20", "--kernel", "exp_sqrt", "--c", "1",
      "--form", "square"],
+    ["psi-sum", "--x", "3", "--T", "1e30"],
+    ["psi-half", "--x", "3", "--T", "1e30"],
 ], ids=" ".join)
 def test_work_budget_exit_3(argv):
     # index ranges and initial contour panels are capped before any work
@@ -167,6 +184,14 @@ def test_config_file_merge(tmp_path, capsys):
     code, out, _ = run(["pnt-verify", "--config", str(cfg), "--x-max", "50"],
                        capsys)
     assert rows_of(out)[0]["x_max"] == "50"
+
+
+@pytest.mark.parametrize("text", ["{bad", "\udcff"], ids=["not JSON", "not UTF-8"])
+def test_malformed_config_one_error_line(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
+    argv = ["-m", "cancelsum.cli", "pnt-verify", "--config", str(cfg)]
+    assert_one_error_line(run_process(argv), 2)
 
 
 def test_config_must_be_object(tmp_path, capsys):
@@ -270,6 +295,16 @@ def test_psi_sum_methods_agree(capsys):
     assert rb.pop("method") == "bucket"
     assert rd.pop("method") == "direct"
     assert rb == rd  # identical digits field by field
+
+
+def test_psi_sum_bad_method_before_sieve(tmp_path, capsys):
+    cache = tmp_path / "s.lsiv"
+    code, out, err = run(["psi-sum", "--x", "150", "--T", "3000", "--method", "foo",
+                          "--sieve-cache", str(cache)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "foo" in json.loads(err)["error"]
+    assert not cache.exists()  # rejected before the sieve was built or written
 
 
 def test_psi_half_row(capsys):
@@ -410,3 +445,63 @@ def test_contour_check_json_keys(capsys):
     assert set(row) == {"x", "u", "quad_re", "quad_im", "discrete_re",
                         "discrete_im", "rel_err", "leg_mags"}
     assert len(row["leg_mags"]) == 4
+
+
+# ---------------------------------------------------------------------------
+# property: any argv ends in an exit code and at most one error line
+
+_COMMON_FLAGS = ["--bits", "--format", "--out", "--sieve-cache", "--config"]
+_KERNEL_FLAGS = ["--kernel", "--c", "--form", "--T", "--a", "--b", "--d", "--alpha",
+                 "--beta", "--k-half", "--alpha-order"]
+_FLAGS = {
+    "pnt-verify": ["--x-max", "--inject-corruption"],
+    "osc-sum": ["--x", "--x-grid"] + _KERNEL_FLAGS,
+    "bound": ["--x", "--x-grid", "--family", "--a", "--c", "--alpha", "--beta", "--T",
+              "--delta-slack"],
+    "psi-sum": ["--x", "--T", "--method"],
+    "psi-half": ["--x", "--T"],
+    "pte-construct": ["--n", "--m", "--no-adjust"],
+    "pte-verify": ["--n", "--m", "--r-max"],
+    "frm-degree": ["--r", "--r-max"],
+    "lemma-sum": ["--x", "--T", "--k", "--u"],
+    # no --kernel: the default p2 has no complex continuation, so no
+    # drawn contour-check reaches the (seconds-long) quadrature
+    "contour-check": ["--x", "--u", "--tol", "--max-rel-err", "--c", "--form", "--T"],
+    "exponent-fit": ["--x", "--x-grid", "--synthetic"] + _KERNEL_FLAGS,
+    "pigeonhole": ["--n", "--k"],
+}
+_SWITCHES = {"--inject-corruption", "--no-adjust"}
+_TOKENS = ["abc", "1/0", "-1", "0", "3/2", "1e30", "geom:1:2", "auto",
+           "json", "exp_sqrt", "square", "custom", "main2", "direct"]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS) + [None]))
+    value = st.one_of(st.sampled_from(_TOKENS), st.integers(-2, 12).map(str))
+    argv = [] if command is None else [command]
+    flags = draw(st.lists(st.sampled_from(_FLAGS.get(command, ["--x"])), max_size=5))
+    flags += draw(st.lists(st.sampled_from(_COMMON_FLAGS + ["--bogus"]), max_size=1))
+    for flag in draw(st.permutations(flags)):
+        argv += [flag] if flag in _SWITCHES else [flag, draw(value)]
+    return argv
+
+
+@settings(deadline=None, max_examples=500)
+@given(_argv())
+def test_any_argv_exit_code_and_one_error_line(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as work:
+        Path(work, "abc").write_text("{not json")  # for --config/--sieve-cache abc
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)  # an escaping exception is a traceback
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    text = err.getvalue()
+    if text:
+        assert text.count("\n") == 1
+        assert set(json.loads(text)) == {"error"}

@@ -84,6 +84,14 @@ def test_delta_zero_at_origin():
     assert delta(0, 1, mp.pi) == 0
 
 
+def test_delta_resolves_constants():
+    # callable and decimal-string rates are resolved before validation
+    with mp.workprec(192):
+        sqrt_phi = mp.sqrt((1 + mp.sqrt(5)) / 2)
+        assert abs(delta(1, 1, growth_p1) - (sqrt_phi - mp.pi / growth_p1())) < mpf(2) ** -180
+        assert abs(delta(1, 1, "2.5") - (sqrt_phi - mp.pi / mpf("2.5"))) < mpf(2) ** -180
+
+
 def test_delta_validation():
     with pytest.raises(DomainError):
         delta(-1, 1, 1)
@@ -109,7 +117,7 @@ def test_maximize_delta_stationarity():
 
 def test_maximize_delta_grid_crosscheck():
     # dense-grid oracle: coarse global scan, then exhaustive 1e-6 steps near
-    # the coarse argmax; must agree with the golden-section result to 1e-5
+    # the coarse argmax; must agree with maximize_delta to 1e-5
     with mp.workprec(192):
         a, c = mpf(3) / 2, growth_p1()
         alpha, w = maximize_delta(a, c)
@@ -148,6 +156,34 @@ def test_maximize_delta_small_c_limit():
 def test_maximize_delta_partition_regime():
     _, w = maximize_delta(Fraction(3, 2), growth_p1)
     assert abs(float(w) - 0.30) < 0.02
+
+
+def test_maximize_delta_partition_exact():
+    # a c^2 = pi^2 reduces the stationarity cubic to pi^2 (e^2 + e - 1), so
+    # the radicand is 1/phi: alpha_star = sqrt(2/3) phi^{-3/2}, w = phi^{-5/2}
+    alpha, w = maximize_delta(Fraction(3, 2), growth_p1)
+    with mp.workprec(400):
+        phi = (1 + mp.sqrt(5)) / 2
+        assert abs(alpha / (mp.sqrt(mpf(2) / 3) * phi ** mpf(-1.5)) - 1) < mpf(2) ** -180
+        assert abs(w / phi ** mpf(-2.5) - 1) < mpf(2) ** -180
+    # bound_main1 carries w at the context's precision: at x = 1 the bound
+    # is e^{w c}, so w = log(bound) / c
+    bound = bound_main1(Fraction(3, 2), growth_p1, 1, PrecisionContext(bits=1100))
+    with mp.workprec(2400):
+        phi = (1 + mp.sqrt(5)) / 2
+        w_used = mp.log(bound) / growth_p1()
+        assert abs(w_used / phi ** mpf(-2.5) - 1) < mpf(2) ** -1000
+
+
+def test_maximize_delta_endpoint_w_is_1():
+    # c sqrt(a) = 16/5 > pi: Delta is unbounded and still increasing at
+    # R_max, so w is 1 although Delta(R_max) is only about 0.26
+    alpha, w = maximize_delta(1, Fraction(16, 5))
+    with mp.workprec(192):
+        r_max = 4 * (mpf(16) / 5) / mp.pi * 2 + 4
+        assert abs(alpha - r_max) < mpf(2) ** -180
+        assert delta(alpha, 1, Fraction(16, 5)) < mpf("0.3")
+    assert w == 1
 
 
 # ---------------------------------------------------------------------------
