@@ -3,7 +3,7 @@ alternating sums over quadratic index sets.
 
 Submodules:
   numerics   precision policy, Bessel I series, exact conversions
-  partition  exact partition table, truncated expansion kernels
+  partition  exact partition table, pentagonal checksum, p1..p4 kernels
   oscsum     quadratic forms, kernel specs, alternating sums and bounds
   primes     prime-power sieve, Chebyshev psi sums, interval halving, LSIV files
   pte        power-sum difference pairs and the alternating polynomial law
@@ -17,16 +17,13 @@ from .errors import (CancelsumError, DegenerateFitError, DegreeMismatchError,
 from .numerics import (PrecisionContext, bessel_i, complex_sqrt_principal,
                        context_for, nstr_for_bits, required_bits,
                        to_fraction_exact, to_mpf_exact)
-from .partition import (ExactPartitionTable, MeinardusParams,
-                        meinardus_kernel, p1, p2, p3, p4, partition_exact,
-                        pentagonal, pnt_checksum, q1_kernel,
-                        usual_partition_params)
+from .partition import (ExactPartitionTable, p1, p2, p3, p4, partition_exact,
+                        pentagonal, pnt_checksum)
 from .oscsum import (KernelSpec, QuadraticForm, SumReport, alternating_sum,
                      bessel_kernel, bound_main1, bound_main2,
-                     complex_alternating_sum, complex_exp_kernel, delta,
-                     empirical_exponent, exp_sqrt_kernel, maximize_delta,
-                     pentagonal_form, power_kernel, rademacher_kernel,
-                     square_form)
+                     complex_exp_kernel, delta, empirical_exponent,
+                     exp_sqrt_kernel, maximize_delta, pentagonal_form,
+                     power_kernel, rademacher_kernel, square_form)
 from .primes import (IntervalHalfReport, LambdaSieve, build_sieve,
                      coefficients_value, interval_union_measure,
                      lambda_coefficients, load_sieve, psi,
@@ -42,30 +39,3 @@ from .contour import (IntegrandDescriptor, QuadratureResult, RectContour,
                       residue_identity_check)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CancelsumError", "DegenerateFitError", "DegreeMismatchError",
-    "DomainError", "EmptyRangeError", "PrecisionError", "QuadratureError",
-    "ResourceError",
-    "PrecisionContext", "bessel_i", "complex_sqrt_principal", "context_for",
-    "nstr_for_bits", "required_bits", "to_fraction_exact", "to_mpf_exact",
-    "ExactPartitionTable", "MeinardusParams", "meinardus_kernel",
-    "p1", "p2", "p3", "p4", "partition_exact", "pentagonal", "pnt_checksum",
-    "q1_kernel", "usual_partition_params",
-    "KernelSpec", "QuadraticForm", "SumReport", "alternating_sum",
-    "bessel_kernel", "bound_main1", "bound_main2", "complex_alternating_sum",
-    "complex_exp_kernel", "delta", "empirical_exponent", "exp_sqrt_kernel",
-    "maximize_delta", "pentagonal_form", "power_kernel",
-    "rademacher_kernel", "square_form",
-    "IntervalHalfReport", "LambdaSieve", "build_sieve", "coefficients_value",
-    "interval_union_measure", "lambda_coefficients", "load_sieve", "psi",
-    "psi_interval_half", "psi_weak_pentagonal", "save_sieve", "threshold_psi",
-    "IntegerPolynomial", "PTEPair", "PTERow", "coefficient_bound_check",
-    "construct_pair", "detect_degree", "empirical_constant", "f_r_exact",
-    "integer_root", "k_regime", "lemma_bound", "lemma_sum", "pigeonhole_c",
-    "power_sum_diff", "verify_pte_bound",
-    "IntegrandDescriptor", "QuadratureResult", "RectContour", "ResidueReport",
-    "build_contour", "gauss_legendre_nodes", "integrate_rectangle",
-    "kernel_integrand", "residue_identity_check",
-    "__version__",
-]

@@ -28,7 +28,7 @@ from . import oscsum, partition, primes, pte
 from .errors import (CancelsumError, DegreeMismatchError, DomainError,
                      PrecisionError, QuadratureError, ResourceError)
 from .numerics import (PrecisionContext, context_for, nstr_for_bits,
-                       to_fraction_exact, to_mpf_exact)
+                       required_bits, to_fraction_exact, to_mpf_exact)
 
 # Named growth constants usable wherever a kernel rate is expected;
 # resolved lazily at working precision.
@@ -299,7 +299,7 @@ def cmd_pte_construct(opts) -> int:
     if "n" not in opts or "m" not in opts:
         raise DomainError("pte-construct needs --n and --m")
     n, m = _parse_int(opts["n"]), _parse_int(opts["m"])
-    pair = pte.construct_pair(n, m, adjust=not opts.get("no_adjust", False))
+    pair = pte.construct_pair(n, m)
     _emit([{"n": n, "m": m, "N": pair.N, "adjusted": pair.adjusted,
             "k_regime": pte.k_regime(n, m)}],
           ["n", "m", "N", "adjusted", "k_regime"], opts)
@@ -363,11 +363,18 @@ def cmd_contour_check(opts) -> int:
         raise DomainError("contour-check needs --x")
     x = _parse_number(opts["x"])
     u = _parse_number(opts.get("u", 1))
-    bits = opts.get("bits", "auto")
-    ctx = PrecisionContext(bits=320 if bits == "auto" else _parse_int(bits))
     kernel = _kernel_from(opts)
     q = _form_from(opts)
     tol = _parse_number(opts.get("tol", "1e-14"))
+    threshold = opts.get("max_rel_err")
+    if threshold is not None:
+        threshold = _parse_number(threshold)
+    # auto never goes below 320 bits, where every contour tolerance and
+    # evaluation count in use was set; steeper kernels get the policy bits
+    bits = opts.get("bits", "auto")
+    if bits == "auto":
+        bits = max(320, required_bits(x, kernel.growth))
+    ctx = PrecisionContext(bits=_parse_int(bits))
     report = contour_mod.residue_identity_check(kernel, q, x, u, ctx, tol=tol)
     row = report.to_json_dict()
     row["u"] = str(u)
@@ -381,8 +388,7 @@ def cmd_contour_check(opts) -> int:
                        "leg4"], opts)
     else:
         _emit([row], [], opts)
-    threshold = opts.get("max_rel_err")
-    if threshold is not None and report.rel_err > to_mpf_exact(_parse_number(threshold)):
+    if threshold is not None and report.rel_err > to_mpf_exact(threshold):
         return 1
     return 0
 
@@ -484,8 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
         (("--delta-slack",), {"dest": "delta_slack"}))
     add("psi-sum", (("--x",), {}), (("--T",), {}), (("--method",), {}))
     add("psi-half", (("--x",), {}), (("--T",), {}))
-    add("pte-construct", (("--n",), {}), (("--m",), {}),
-        (("--no-adjust",), {"dest": "no_adjust", "action": "store_true"}))
+    add("pte-construct", (("--n",), {}), (("--m",), {}))
     add("pte-verify", (("--n",), {}), (("--m",), {}), (("--r-max",), {"dest": "r_max"}))
     add("frm-degree", (("--r",), {}), (("--r-max",), {"dest": "r_max"}))
     add("lemma-sum", (("--x",), {}), (("--T",), {}), (("--k",), {}), (("--u",), {}))

@@ -21,6 +21,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from mpmath import mp, mpc, mpf
 
@@ -40,7 +41,7 @@ class PrecisionContext:
     """
 
     bits: int
-    guard_bits: int = 32
+    guard_bits: ClassVar[int] = 32
 
     def __post_init__(self):
         if self.bits < 128:
@@ -48,8 +49,6 @@ class PrecisionContext:
         if self.bits > MAX_PRECISION_BITS:
             raise ResourceError("precision of %s bits exceeds budget %d"
                                 % (mp.nstr(mpf(self.bits), 6), MAX_PRECISION_BITS))
-        if self.guard_bits < 1:
-            raise DomainError("guard_bits must be positive")
 
     @contextmanager
     def workprec(self):
@@ -57,15 +56,10 @@ class PrecisionContext:
         with mp.workprec(self.bits + self.guard_bits):
             yield mp
 
-    @property
-    def rel_eps(self) -> mpf:
-        """Relative accuracy quoted for results under this context."""
-        return mpf(2) ** (-(self.bits - 8))
 
-
-def context_for(x, c, guard_bits: int = 32) -> PrecisionContext:
+def context_for(x, c) -> PrecisionContext:
     """PrecisionContext satisfying the policy for growth e^{c*sqrt(x)}."""
-    return PrecisionContext(bits=required_bits(x, c), guard_bits=guard_bits)
+    return PrecisionContext(bits=required_bits(x, c))
 
 
 def required_bits(x, c) -> int:
@@ -134,8 +128,6 @@ def to_mpf_exact(value) -> mpf:
     den = getattr(value, "denominator", None)
     if num is not None and den is not None:
         return mpf(num) / mpf(den)
-    if isinstance(value, str):
-        return mpf(value)
     return mpf(value)
 
 

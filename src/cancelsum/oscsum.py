@@ -114,9 +114,9 @@ def square_form(T: Rational = 1) -> QuadraticForm:
 
 _RADEMACHER = {
     "p1": (partition.p1, partition.GROWTH_P1),
-    "p2": (partition.p2, partition.GROWTH_P2),
+    "p2": (partition.p2, partition.GROWTH_P1),
     "p3": (partition.p3, partition.GROWTH_P3),
-    "p4": (partition.p4, partition.GROWTH_P4),
+    "p4": (partition.p4, partition.GROWTH_P1),
 }
 
 
@@ -170,7 +170,7 @@ def rademacher_kernel(name: str) -> KernelSpec:
         def real_eval(y, ctx):
             with ctx.workprec():
                 return mp.sqrt(partition.p1(y, ctx))
-        return KernelSpec("rademacher", real_eval, partition.GROWTH_SQRT_P1)
+        return KernelSpec("rademacher", real_eval, partition.GROWTH_P3)
     if name not in _RADEMACHER:
         raise DomainError("unknown rademacher kernel %r" % (name,))
     func, growth = _RADEMACHER[name]
@@ -390,14 +390,6 @@ def bound_main1(a, c, x, ctx: PrecisionContext) -> mpf:
         _, w = maximize_delta(a, c)
         sx = mp.sqrt(to_mpf_exact(_to_fraction(x)))
         return sx * mp.exp(w * _resolve(c) * sx)
-
-
-def complex_alternating_sum(alpha, beta, T, x, ctx: PrecisionContext,
-                            predicted_bound=None) -> SumReport:
-    """sum over l^2 < T x of (-1)^l e^{(alpha + i beta) sqrt(x - l^2/T)}."""
-    kernel = complex_exp_kernel(alpha, beta, T)
-    q = square_form(T)
-    return alternating_sum(kernel, q, x, ctx, predicted_bound=predicted_bound)
 
 
 def bound_main2(alpha, beta, T, x, delta_slack) -> mpf:

@@ -1,4 +1,4 @@
-"""Exact partition numbers and the truncated asymptotic kernels that the
+"""Exact partition numbers and the truncated Rademacher kernels that the
 oscillating-sum machinery feeds on.
 
 The exact table is the oracle everything else is checked against: it is
@@ -10,31 +10,23 @@ and the alternating checksum over all pentagonal shifts of a given x
 must vanish identically, which is the first acceptance gate.
 
 The kernels p1..p4 are the explicitly printed one/two/four-term
-truncations of the Hardy-Ramanujan-Rademacher series; q1_kernel and
-p5_kernel are the distinct-part and mod-5 analogues, and
-meinardus_kernel is the generic template (g(n))^q e^{(k(n))^theta}
-(1 - h(n)^{-r}) that specializes to p2 for the usual partition
-parameters.
+truncations of the Hardy-Ramanujan-Rademacher series.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .numerics import PrecisionContext, bessel_i, to_mpf_exact
+from .numerics import PrecisionContext
 
 # growth constants c in kernel ~ e^{c*sqrt(y)}, consumed by the precision policy
-GROWTH_P1 = math.pi * math.sqrt(2.0 / 3.0)
-GROWTH_P2 = GROWTH_P1
-GROWTH_P4 = GROWTH_P1
-GROWTH_P3 = math.pi / math.sqrt(6.0)
-GROWTH_SQRT_P1 = GROWTH_P3
+GROWTH_P1 = math.pi * math.sqrt(2.0 / 3.0)  # p1, p2, p4
+GROWTH_P3 = math.pi / math.sqrt(6.0)  # p3 and sqrt(p1)
 
 
 def growth_p1() -> mpf:
@@ -174,120 +166,3 @@ def p4(x, ctx: PrecisionContext) -> mpf:
     """Four-term truncation p2 + p3."""
     with ctx.workprec():
         return p2(x, ctx) + p3(x, ctx)
-
-
-def q1_kernel(n, ctx: PrecisionContext) -> mpf:
-    """Derivative kernel of the distinct-part count:
-    d/dn I0(pi sqrt((n + 1/24)/3)) = pi/(2 sqrt(3) sqrt(n + 1/24)) * I1(...).
-
-    The overall multiplicative constant is taken as 1; it scales the
-    whole sum and cannot affect cancellation exponents.
-    """
-    if n <= 0:
-        raise DomainError("q1_kernel needs n > 0")
-    with ctx.workprec():
-        shifted = to_mpf_exact(n) + mpf(1) / 24
-        arg = mp.pi * mp.sqrt(shifted / 3)
-        return mp.pi / (2 * mp.sqrt(3) * mp.sqrt(shifted)) * bessel_i(1, arg, ctx)
-
-
-def p5_kernel(n, a: int, ctx: PrecisionContext, shift: int = 1) -> mpf:
-    """Mod-5 partition kernel csc(pi a/5) (60n - A)^{-3/8} e^{(pi/15) sqrt(60n - A)}.
-
-    The additive constant A (default 1) and the overall scale are not
-    pinned down by the asymptotic being modeled, so A is configurable;
-    only the exponent structure matters for cancellation tests.
-    """
-    if n < 1:
-        raise DomainError("p5_kernel needs n >= 1")
-    if a not in (1, 2, 3, 4):
-        raise DomainError("p5_kernel needs a in 1..4")
-    with ctx.workprec():
-        v = 60 * to_mpf_exact(n) - shift
-        if v <= 0:
-            raise DomainError("p5_kernel argument 60n - A must be positive")
-        return mp.csc(mp.pi * a / 5) * v ** mpf("-0.375") * mp.exp(mp.pi / 15 * mp.sqrt(v))
-
-
-Coefficient = Union[int, float, str, Callable[[], mpf]]
-RationalDescriptor = tuple[Sequence[Coefficient], Sequence[Coefficient]]
-
-
-def _eval_poly(coeffs: Sequence[Coefficient], t: mpf) -> mpf:
-    total = mpf(0)
-    power = mpf(1)
-    for c in coeffs:
-        value = c() if callable(c) else mpf(c)
-        total += value * power
-        power *= t
-    return total
-
-
-@dataclass(frozen=True)
-class MeinardusParams:
-    """Parameters of the template (g(n))^q e^{(k(n))^theta} (1 - h(n)^{-r}).
-
-    g, h, k are rational functions given as (numerator, denominator)
-    coefficient sequences, low degree first.  Coefficients may be
-    numbers or zero-argument callables producing an mpf at working
-    precision, so irrational constants like pi^2/36 survive refinement.
-    s_exp describes the regime the template models (0 < s < 1) and is
-    carried as metadata; it does not enter the evaluated formula.
-    """
-
-    q_exp: float
-    theta: float
-    r_exp: float
-    s_exp: float
-    g: RationalDescriptor
-    h: RationalDescriptor
-    k: RationalDescriptor
-
-    def __post_init__(self):
-        if not (self.theta > 0 and self.r_exp > 0 and self.q_exp > 0):
-            raise DomainError("MeinardusParams needs theta, r_exp, q_exp > 0")
-        if not (0 < self.s_exp < 1):
-            raise DomainError("MeinardusParams needs 0 < s_exp < 1")
-
-
-def meinardus_kernel(params: MeinardusParams) -> Callable[[object, PrecisionContext], mpf]:
-    """Kernel closure (g(n))^q e^{(k(n))^theta} (1 - h(n)^{-r}).
-
-    Raises DomainError if any of g, h, k is nonpositive at the
-    evaluation point.
-    """
-
-    def kernel(n, ctx: PrecisionContext) -> mpf:
-        with ctx.workprec():
-            t = to_mpf_exact(n)
-            values = {}
-            for name, (num, den) in (("g", params.g), ("h", params.h), ("k", params.k)):
-                d = _eval_poly(den, t)
-                if d == 0:
-                    raise DomainError("meinardus %s(n) has zero denominator at n=%s" % (name, n))
-                v = _eval_poly(num, t) / d
-                if v <= 0:
-                    raise DomainError("meinardus %s(n) must be positive at n=%s" % (name, n))
-                values[name] = v
-            return (
-                values["g"] ** mpf(params.q_exp)
-                * mp.exp(values["k"] ** mpf(params.theta))
-                * (1 - values["h"] ** (-mpf(params.r_exp)))
-            )
-
-    return kernel
-
-
-def usual_partition_params() -> MeinardusParams:
-    """Instantiation reproducing p2: g = sqrt(12)/(24n-1),
-    h = k = (pi^2/36)(24n-1), q=1, theta=r=s=1/2."""
-    return MeinardusParams(
-        q_exp=1.0,
-        theta=0.5,
-        r_exp=0.5,
-        s_exp=0.5,
-        g=((lambda: mp.sqrt(12),), (-1, 24)),
-        h=((lambda: -(mp.pi ** 2) / 36, lambda: 24 * (mp.pi ** 2) / 36), (1,)),
-        k=((lambda: -(mp.pi ** 2) / 36, lambda: 24 * (mp.pi ** 2) / 36), (1,)),
-    )
-

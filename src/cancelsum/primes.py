@@ -51,22 +51,6 @@ class LambdaSieve:
         self._pp = [pp for pp, _ in entries]
         self._cache: dict[int, list] = {}  # prec -> prefix log sums
 
-    def lambda_at(self, n: int):
-        """(prime, exponent) when n is a prime power <= limit, else None."""
-        i = bisect_right(self._pp, n) - 1
-        if i < 0 or self._pp[i] != n:
-            return None
-        p = self.entries[i][1]
-        k = 0
-        m = n
-        while m > 1:
-            m //= p
-            k += 1
-        return (p, k)
-
-    def prime_count(self) -> int:
-        return sum(1 for pp, p in self.entries if pp == p)
-
     def arrays_at(self, prec: int) -> list:
         """Prefix sums of log p at binary precision `prec`: entry i is
         psi just below the i-th prime power."""

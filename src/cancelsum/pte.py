@@ -55,7 +55,7 @@ class PTEPair:
     adjusted: bool
 
 
-def construct_pair(n: int, m: int, adjust: bool = True) -> PTEPair:
+def construct_pair(n: int, m: int) -> PTEPair:
     """Build the pair; N is bumped by one (flagged) when the bare floor
     violates positivity, which a single increment always repairs since
     (N+1)^{2m+1} > (2n)^{2m} >= (2n-1)^2."""
@@ -65,10 +65,6 @@ def construct_pair(n: int, m: int, adjust: bool = True) -> PTEPair:
     power = N ** (2 * m + 1)
     adjusted = False
     if power <= (2 * n - 1) ** 2:
-        if not adjust:
-            raise DomainError(
-                "invalid parameters: N^(2m+1)=%d <= (2n-1)^2=%d and adjustment is off"
-                % (power, (2 * n - 1) ** 2))
         N += 1
         power = N ** (2 * m + 1)
         adjusted = True
@@ -189,34 +185,28 @@ class IntegerPolynomial:
         return out
 
 
-def detect_degree(r: int, M_lo: int = 1, count: int | None = None) -> tuple[int, IntegerPolynomial]:
-    """Exact degree of M -> f_r(M) from forward differences of consecutive
-    samples, plus the integer Newton interpolant.
+def detect_degree(r: int) -> tuple[int, IntegerPolynomial]:
+    """Exact degree of M -> f_r(M) from forward differences of the
+    samples M = 1 .. r + 4, plus the integer Newton interpolant.
 
-    Needs count >= r + 3 samples so the stabilization row (an all-zero
-    difference row) is visible; raises DegreeMismatchError if the
-    differences never stabilize or the detected degree violates the
-    parity law (r-1 for even r, r for odd r).
+    r + 4 samples leave room for the stabilization row (an all-zero
+    difference row); raises DegreeMismatchError if the differences never
+    stabilize or the detected degree violates the parity law (r-1 for
+    even r, r for odd r).
     """
     if r < 1:
         raise DomainError("detect_degree needs r >= 1")
-    if M_lo < 1:
-        raise DomainError("detect_degree needs M_lo >= 1")
-    if count is None:
-        count = r + 4
-    if count < r + 3:
-        raise DomainError("detect_degree needs count >= r + 3")
-    samples = [f_r_exact(M_lo + i, r) for i in range(count)]
+    samples = [f_r_exact(M, r) for M in range(1, r + 5)]
     diff_rows = [samples]
     while diff_rows[-1] and any(diff_rows[-1]):
         row = diff_rows[-1]
         if len(row) == 1:
             raise DegreeMismatchError(
-                "differences of f_%d did not stabilize within %d samples" % (r, count))
+                "differences of f_%d did not stabilize within %d samples" % (r, len(samples)))
         diff_rows.append([row[i + 1] - row[i] for i in range(len(row) - 1)])
     degree = len(diff_rows) - 2  # last row is all zeros
 
-    # Newton forward interpolant in t = M - M_lo, then shift to M.
+    # Newton forward interpolant in t = M - 1, then shift to M.
     t_coeffs = [Fraction(0)] * (degree + 1)
     basis = [Fraction(1)]  # coefficients of prod_{i<j} (t - i) / j!
     for j in range(degree + 1):
@@ -228,22 +218,21 @@ def detect_degree(r: int, M_lo: int = 1, count: int | None = None) -> tuple[int,
             next_basis[idx + 1] += c
             next_basis[idx] -= c * j
         basis = next_basis
-    # substitute t = M - M_lo
+    # substitute t = M - 1
     m_coeffs = [Fraction(0)] * (degree + 1)
-    shift = -M_lo
     for j, c in enumerate(t_coeffs):
         if c == 0:
             continue
         for i in range(j + 1):
-            m_coeffs[i] += c * math.comb(j, i) * Fraction(shift) ** (j - i)
+            m_coeffs[i] += c * math.comb(j, i) * (-1) ** (j - i)
     ints = []
     for c in m_coeffs:
         if c.denominator != 1:
             raise DegreeMismatchError("interpolant of f_%d has non-integer coefficient %s" % (r, c))
         ints.append(int(c))
     poly = IntegerPolynomial(tuple(ints))
-    for i, s in enumerate(samples):
-        if poly.evaluate(M_lo + i) != s:
+    for M, s in enumerate(samples, start=1):
+        if poly.evaluate(M) != s:
             raise DegreeMismatchError("interpolant of f_%d fails to reproduce its samples" % (r,))
     expected = r - 1 if r % 2 == 0 else r
     if degree != expected:
@@ -252,11 +241,11 @@ def detect_degree(r: int, M_lo: int = 1, count: int | None = None) -> tuple[int,
     return degree, poly
 
 
-def coefficient_bound_check(r: int, poly: IntegerPolynomial, constant: int = 100) -> bool:
-    """max |coefficient| <= (2r)! * constant."""
+def coefficient_bound_check(r: int, poly: IntegerPolynomial) -> bool:
+    """max |coefficient| <= 100 (2r)!."""
     if not poly.coeffs:
         return True
-    return max(abs(c) for c in poly.coeffs) <= math.factorial(2 * r) * constant
+    return max(abs(c) for c in poly.coeffs) <= 100 * math.factorial(2 * r)
 
 
 def pigeonhole_c(n: int, k: int) -> Fraction:

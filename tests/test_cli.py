@@ -113,6 +113,9 @@ def test_resource_error_exit_3(capsys):
     ["exponent-fit", "--synthetic", "1000,0", "--x-grid", "lin:100:10000:3"],
     ["osc-sum", "--bogus", "1"],
     ["osc-sum", "--x", "10", "--format", "xml"],
+    ["contour-check", "--x", "1/10", "--kernel", "exp_sqrt", "--c", "1",
+     "--max-rel-err", "abc"],
+    ["pte-construct", "--n", "100", "--m", "1", "--no-adjust"],
     pytest.param([], id="no subcommand"),
 ], ids=" ".join)
 def test_bad_input_one_error_line(argv):
@@ -126,10 +129,11 @@ def test_bad_input_one_error_line(argv):
     ["osc-sum", "--x", "100", "--bits", "1000000"],
     ["psi-sum", "--x", "1e30", "--T", "1"],
     ["psi-half", "--x", "1e30", "--T", "1"],
+    ["contour-check", "--x", "3/2", "--kernel", "exp_sqrt", "--c", "1e30"],
 ], ids=" ".join)
 def test_precision_budget_exit_3(argv):
-    # auto precision for a huge x, an explicit --bits, or a sieve to
-    # e^sqrt(x), above the ceiling
+    # auto precision for a huge x or growth, an explicit --bits, or a
+    # sieve to e^sqrt(x), above the ceiling
     assert_one_error_line(run_process(["-m", "cancelsum.cli"] + argv), 3)
 
 
@@ -460,7 +464,7 @@ _FLAGS = {
               "--delta-slack"],
     "psi-sum": ["--x", "--T", "--method"],
     "psi-half": ["--x", "--T"],
-    "pte-construct": ["--n", "--m", "--no-adjust"],
+    "pte-construct": ["--n", "--m"],
     "pte-verify": ["--n", "--m", "--r-max"],
     "frm-degree": ["--r", "--r-max"],
     "lemma-sum": ["--x", "--T", "--k", "--u"],
@@ -470,7 +474,7 @@ _FLAGS = {
     "exponent-fit": ["--x", "--x-grid", "--synthetic"] + _KERNEL_FLAGS,
     "pigeonhole": ["--n", "--k"],
 }
-_SWITCHES = {"--inject-corruption", "--no-adjust"}
+_SWITCHES = {"--inject-corruption"}
 _TOKENS = ["abc", "1/0", "-1", "0", "3/2", "1e30", "geom:1:2", "auto",
            "json", "exp_sqrt", "square", "custom", "main2", "direct"]
 

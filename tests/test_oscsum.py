@@ -7,9 +7,9 @@ from mpmath import mp, mpf
 from cancelsum import (DegenerateFitError, DomainError, EmptyRangeError,
                        PrecisionContext, PrecisionError, QuadraticForm,
                        alternating_sum, bound_main1, bound_main2,
-                       complex_alternating_sum, complex_exp_kernel, delta,
-                       empirical_exponent, exp_sqrt_kernel, maximize_delta,
-                       pentagonal_form, rademacher_kernel, square_form)
+                       complex_exp_kernel, delta, empirical_exponent,
+                       exp_sqrt_kernel, maximize_delta, pentagonal_form,
+                       rademacher_kernel, square_form)
 from cancelsum.numerics import to_mpf_exact
 from cancelsum.partition import growth_p1, growth_p3, partition_exact
 
@@ -261,9 +261,6 @@ def test_complex_kernel_beta_zero_matches_real(ctx320):
     b = alternating_sum(exp_sqrt_kernel(1), q, 100, ctx320)
     with ctx320.workprec():
         assert abs(a.value - b.value) <= abs(b.value) * mpf(2) ** -280
-    c = complex_alternating_sum(1, 0, 10**4, 100, ctx320)
-    with ctx320.workprec():
-        assert abs(c.value - b.value) <= abs(b.value) * mpf(2) ** -280
 
 
 def test_complex_kernel_unit_terms(ctx320):
@@ -285,7 +282,7 @@ def test_complex_kernel_validation():
 
 def test_complex_instance_within_bound(ctx320):
     x, T, alpha, beta = 100, 10**4, 1, 50
-    rep = complex_alternating_sum(alpha, beta, T, x, ctx320)
+    rep = alternating_sum(complex_exp_kernel(alpha, beta, T), square_form(T), x, ctx320)
     bnd = bound_main2(alpha, beta, T, x, "0.01")
     assert abs(rep.value) <= 10 * bnd
 

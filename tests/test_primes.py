@@ -39,11 +39,7 @@ def bool_prime_sieve(limit: int) -> bytearray:
 
 def test_prime_powers_to_ten():
     sieve = build_sieve(10)
-    assert [pp for pp, _ in sieve.entries] == [2, 3, 4, 5, 7, 8, 9]
-    assert sieve.lambda_at(4) == (2, 2)
-    assert sieve.lambda_at(9) == (3, 2)
-    assert sieve.lambda_at(6) is None
-    assert sieve.lambda_at(1) is None
+    assert sieve.entries == [(2, 2), (3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3)]
 
 
 def test_sieve_against_independent_oracle():
@@ -61,7 +57,7 @@ def test_sieve_against_independent_oracle():
 
 
 def test_prime_count_million(sieve1m):
-    assert sieve1m.prime_count() == 78498
+    assert sum(1 for pp, p in sieve1m.entries if pp == p) == 78498
     assert sum(bool_prime_sieve(1_000_000)) == 78498
 
 
@@ -90,16 +86,21 @@ def test_psi_below_two(sieve600, ctx192):
 
 
 def test_psi_steps_follow_von_mangoldt(sieve600, ctx192):
+    # oracle by trial division: n is a prime power exactly when dividing
+    # it by its smallest prime factor p until p no longer divides leaves 1
     with ctx192.workprec():
         prev = mpf(0)
         for n in range(2, 61):
             cur = psi(n, sieve600, ctx192)
             gap = cur - prev
-            hit = sieve600.lambda_at(n)
-            if hit is None:
+            p = next(d for d in range(2, n + 1) if n % d == 0)
+            m = n
+            while m % p == 0:
+                m //= p
+            if m != 1:
                 assert gap == 0
             else:
-                assert abs(gap - mp.log(hit[0])) < mpf(2) ** -180
+                assert abs(gap - mp.log(p)) < mpf(2) ** -180
             prev = cur
 
 

@@ -37,10 +37,10 @@ def test_integer_root_exact():
 
 
 def test_constructor_bare_floor_fails_small_n():
-    # N^{2m+1} <= (2n-1)^2 for these, so positivity would be violated
+    # N^{2m+1} <= (2n-1)^2 for these, so the bare floor violates
+    # positivity and N is bumped
     for n in (2, 8, 100, 200):
-        with pytest.raises(DomainError):
-            construct_pair(n, 1, adjust=False)
+        assert construct_pair(n, 1).adjusted is True
 
 
 def test_constructor_adjusted_n100():
@@ -187,14 +187,14 @@ def test_f_1_is_minus_2M():
 
 
 def test_detect_degree_small_cases():
-    degree, poly = detect_degree(2, M_lo=1, count=6)
+    degree, poly = detect_degree(2)
     assert degree == 1
     assert poly.coeffs == (0, -2)
     assert str(poly) == "-2M"
     degree, poly = detect_degree(1)
     assert degree == 1
     assert poly.coeffs == (0, -2)
-    degree, poly = detect_degree(4, M_lo=1, count=8)
+    degree, poly = detect_degree(4)
     assert degree == 3
     assert poly.coeffs == (0, -34, 0, 128)
     degree, poly = detect_degree(3)
@@ -222,10 +222,6 @@ def test_interpolant_out_of_sample():
 
 
 def test_detect_degree_validation():
-    with pytest.raises(DomainError):
-        detect_degree(4, M_lo=1, count=6)  # needs >= r + 3
-    with pytest.raises(DomainError):
-        detect_degree(2, M_lo=0)
     with pytest.raises(DomainError):
         detect_degree(0)
 
