@@ -12,7 +12,10 @@ method: each n contributes Lambda(n) * (-1)^{J(n)} where J(n) is the
 largest j with n <= N_j) or per index j (direct method, one prefix count
 per j).  Both produce an exact integer coefficient per prime, so their
 results agree bit for bit, which is what the oracle-equivalence gate
-checks.  Precision enters only through the sums of log p.
+checks.  Precision enters only through the sums of log p, and each is
+one log per coefficient class or cutoff band, of an exact product
+folded at working precision (the grouped products of Bernstein, "Fast
+multiplication and its applications", 2008).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 from mpmath import iv, mp, mpc, mpf
@@ -31,11 +35,35 @@ from .errors import DomainError, ResourceError
 from .numerics import PrecisionContext, nstr_for_bits, to_fraction_exact, to_mpf_exact
 from .oscsum import MAX_INDEX_RANGE, SumReport
 
-# A psi run peaks near 1 byte per integer (sieve flags) plus ~190 bytes per
-# prime power (index entry and log-p prefix sum; peak RSS, CPython 3.11):
-# ~500 MB for the 2.05M prime powers of psi-sum --x 300, ~1.2 GB at the cap.
+# A psi run peaks near 1 byte per integer (sieve flags) plus, per prime
+# power, ~105 bytes for psi-half (index entry and prime-power list) and
+# ~215 for psi-sum, whose coefficient map makes up the difference (peak RSS,
+# CPython 3.11): psi-half and psi-sum take 164 and 266 MB at x=280, 271 and
+# 495 MB for the 2.05M prime powers at x=300, about 0.7 and 1.4 GB at the cap.
 MAX_SIEVE_LIMIT = 100_000_000
 PSI_METHODS = ("bucket", "direct")
+
+
+def _log_products(factors, marks, prec: int) -> list:
+    """[log(prod(factors[:k])) for k in marks] at binary precision `prec`,
+    for ascending `marks`.  Factors multiply as exact integers; once a
+    chunk passes `prec` bits it is folded into one mpf product with a
+    single rounding, and each mark takes one log.  The bits of each value
+    depend only on factors[:k], never on the other marks."""
+    logs = []
+    factors = iter(factors)
+    done = 0
+    with mp.workprec(prec):
+        product, chunk = mpf(1), 1
+        for k in marks:
+            for f in islice(factors, k - done):
+                chunk *= f
+                if chunk.bit_length() > prec:
+                    product *= chunk
+                    chunk = 1
+            done = k
+            logs.append(mp.log(product * chunk))
+    return logs
 
 
 class LambdaSieve:
@@ -49,22 +77,15 @@ class LambdaSieve:
         self.limit = limit
         self.entries = entries
         self._pp = [pp for pp, _ in entries]
-        self._cache: dict[int, list] = {}  # prec -> prefix log sums
 
-    def arrays_at(self, prec: int) -> list:
-        """Prefix sums of log p at binary precision `prec`: entry i is
-        psi just below the i-th prime power."""
-        cached = self._cache.get(prec)
-        if cached is not None:
-            return cached
-        with mp.workprec(prec):
-            prefix = [mpf(0)]
-            running = mpf(0)
-            for _, p in self.entries:
-                running += mp.log(p)
-                prefix.append(running)
-        self._cache[prec] = prefix
-        return prefix
+    def arrays_at(self, counts, prec: int) -> list:
+        """psi just below the k-th prime power, for each prefix count k in
+        `counts` (any order), at binary precision `prec`: one walk over the
+        prime powers and one log per distinct count."""
+        marks = sorted(set(counts))
+        logs = _log_products((p for _, p in self.entries), marks, prec)
+        at = dict(zip(marks, logs))
+        return [at[k] for k in counts]
 
 
 def build_sieve(limit: int) -> LambdaSieve:
@@ -109,10 +130,8 @@ def psi(y, sieve: LambdaSieve, ctx: PrecisionContext) -> mpf:
     if y > sieve.limit:
         raise DomainError("psi argument %s exceeds sieve limit %d" % (y, sieve.limit))
     yf = to_fraction_exact(y)
-    prefix = sieve.arrays_at(ctx.bits + ctx.guard_bits)
     count = bisect_right(sieve._pp, yf.numerator // yf.denominator)
-    with ctx.workprec():
-        return +prefix[count]
+    return sieve.arrays_at([count], ctx.bits + ctx.guard_bits)[0]
 
 
 def _ell_max(x, T) -> int:
@@ -196,11 +215,19 @@ def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> dic
 
 
 def coefficients_value(coeff: dict[int, int], ctx: PrecisionContext) -> mpf:
-    """sum coeff[p] log p, accumulated in ascending prime order."""
+    """sum coeff[p] log p as sum_c c log(prod of the primes with
+    coefficient c): one log per class, each product taken in ascending
+    prime order and the classes added in ascending c, so the bits depend
+    only on the map, not on its insertion order."""
+    classes: dict[int, list[int]] = {}
+    for p in sorted(coeff):
+        classes.setdefault(coeff[p], []).append(p)
+    prec = ctx.bits + ctx.guard_bits
     with ctx.workprec():
         total = mpf(0)
-        for p in sorted(coeff):
-            total += coeff[p] * mp.log(p)
+        for c in sorted(classes):
+            primes = classes[c]
+            total += c * _log_products(primes, [len(primes)], prec)[0]
         return total
 
 
@@ -258,13 +285,18 @@ def psi_interval_half(x, T, sieve: LambdaSieve, ctx: PrecisionContext) -> Interv
     i.e. psi over the union of intervals (e^{sqrt(x-(2l)^2/T)}, e^{sqrt(x-(2l-1)^2/T)}];
     rhs = psi(e^{sqrt(x)})/2.
 
-    The l = 0 interval of the displayed identity is degenerate (reversed
-    endpoints) and contributes nothing; the first nondegenerate interval
-    is the 2l = 2 one.  The algebraic bridge to the alternating sum S is
+    The identity sums over 0 <= 2l < sqrt(xT).  Its l = 0 interval,
+    [e^{sqrt x}, e^{sqrt(x - 1/T)}], has reversed endpoints, so it is
+    empty and contributes nothing; the first nondegenerate interval is
+    the 2l = 2 one, and 2l <= L keeps every cutoff inside that range.
+    All L+1 psi values come from one walk over the prime powers, whose
+    product grows band by band between cutoffs: one log per cutoff.  The
+    algebraic bridge to the alternating sum S is
       lhs - rhs = -S/2 - boundary,
     with boundary = psi at cutoff L when L is odd, else 0.
     """
-    psi_at = [psi(n, sieve, ctx) for n in _cutoffs(x, T, sieve)]
+    counts = [bisect_right(sieve._pp, n) for n in _cutoffs(x, T, sieve)]
+    psi_at = sieve.arrays_at(counts, ctx.bits + ctx.guard_bits)
     L = len(psi_at) - 1
     with ctx.workprec():
         lhs = mpf(0)

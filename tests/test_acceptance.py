@@ -4,6 +4,7 @@ Each test prints a single pass/fail line (visible with -s or -rA) and
 enforces the pinned tolerance and runtime budget for its claim.
 """
 
+import math
 import time
 from fractions import Fraction
 from random import Random
@@ -11,14 +12,16 @@ from random import Random
 import pytest
 from mpmath import mp, mpf
 
-from cancelsum import (ExactPartitionTable, alternating_sum, bound_main1,
-                       build_sieve, complex_exp_kernel, construct_pair,
-                       context_for, detect_degree, empirical_constant,
-                       exp_sqrt_kernel, f_r_exact, k_regime, partition_exact,
-                       pentagonal_form, pnt_checksum, psi_interval_half,
-                       psi_weak_pentagonal, rademacher_kernel,
-                       residue_identity_check, square_form, verify_pte_bound)
+from cancelsum import (ExactPartitionTable, PrecisionContext, alternating_sum,
+                       bound_main1, build_sieve, complex_exp_kernel,
+                       construct_pair, context_for, detect_degree,
+                       empirical_constant, empirical_exponent, exp_sqrt_kernel,
+                       f_r_exact, k_regime, partition_exact, pentagonal_form,
+                       pnt_checksum, psi_interval_half, psi_weak_pentagonal,
+                       rademacher_kernel, residue_identity_check, square_form,
+                       verify_pte_bound)
 from cancelsum.partition import GROWTH_P1, growth_p1, growth_p3
+from cancelsum.primes import sieve_limit
 
 
 def report(num: int, ok: bool, detail: str, sub: str = "") -> None:
@@ -221,3 +224,35 @@ def test_criterion_10_oracle_equivalences(ctx192):
            "partition table == DP for n <= 200, f_r == unfolded loop for "
            "r <= 6 and M <= 10, bucket == direct psi sums on 20 seeded "
            "random (x, T); all exact")
+
+
+def test_criterion_11_prime_theorem_regime():
+    # The paper's prime theorem at T = e^{0.786 sqrt x}: the interval-union
+    # psi sum is psi(e^sqrt x) (1/2 + O(e^{-0.196 sqrt x})), and rel_err =
+    # |lhs - rhs| / psi_full measures the O-term.  The paper gives no
+    # O-constant; this criterion takes it as 1.
+    t0 = time.monotonic()
+    grid = (50, 100, 160, 200, 240)
+    ctx = PrecisionContext(bits=128)
+    sieve = build_sieve(sieve_limit(max(grid)))
+    rows = []
+    for x in grid:
+        with mp.workprec(64):
+            T = int(mp.nint(mp.exp(mpf("0.786") * mp.sqrt(x))))
+            ceiling = mp.exp(mpf("-0.196") * mp.sqrt(x))
+        rep = psi_interval_half(x, T, sieve, ctx)
+        # the abstract: every interval is narrower than e^{sqrt(x)/2}
+        reach = [math.exp(math.sqrt(x - j * j / T)) for j in range(rep.ell_max + 1)]
+        widest = max((reach[2 * l - 1] - reach[2 * l]
+                      for l in range(1, rep.ell_max // 2 + 1)), default=0.0)
+        rows.append((x, T, rep.rel_err, ceiling, widest / math.exp(math.sqrt(x) / 2)))
+    w_hat, _, _ = empirical_exponent([(x, rel) for x, _, rel, _, _ in rows])
+    elapsed = time.monotonic() - t0
+    ok = all(rel <= ceiling for _, _, rel, ceiling, _ in rows) and elapsed <= 10.0
+    report(11, ok,
+           "rel_err <= e^(-0.196 sqrt x) (O-constant 1) at T = round(e^(0.786 "
+           "sqrt x)): %s; fitted log(rel_err) = %.3f sqrt(x) + b; widest "
+           "interval / e^(sqrt(x)/2) = %s; elapsed %.1fs (limit 10s)"
+           % (", ".join("x=%d T=%d %.3g <= %.3g" % (x, T, float(rel), float(c))
+                        for x, T, rel, c, _ in rows),
+              w_hat, ", ".join("%.3g" % r for *_, r in rows), elapsed))

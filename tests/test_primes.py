@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -114,6 +115,24 @@ def test_psi_beyond_limit(sieve600, ctx128):
         psi(601, sieve600, ctx128)
 
 
+def test_psi_million_against_fsum(sieve1m, ctx128):
+    # one log of a folded product against the sum of every log p at 64
+    # more bits; 78,498 primes fold the product many times over
+    got = psi(10 ** 6, sieve1m, ctx128)
+    with mp.workprec(ctx128.bits + ctx128.guard_bits + 64):
+        want = mp.fsum(mp.log(p) for _, p in sieve1m.entries)
+        assert abs(got - want) <= mpf(2) ** -(ctx128.bits - 8) * want
+
+
+def test_psi_value_independent_of_other_cutoffs(sieve100k, ctx128):
+    # psi at a prefix count has the same bits whatever else is asked for
+    counts = [0, 17, 17, 5000, 2, 9592, 1]
+    both = sieve100k.arrays_at(counts, 160)
+    alone = [sieve100k.arrays_at([k], 160)[0] for k in counts]
+    assert both == alone
+    assert both[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # alternating psi sums
 
@@ -175,6 +194,42 @@ def test_bucket_equals_direct_seeded(sieve100k, ctx128):
         vb = coefficients_value(bucket, ctx128)
         vd = coefficients_value(direct, ctx128)
         assert vb == vd
+
+
+def _class_map(sieve):
+    # three large classes whose products fold many times, plus one-prime
+    # classes with |c| >= 2 whose small terms make the class order matter
+    # to the rounding of the total
+    rng = random.Random(2718)
+    coeff = {p: rng.choice((-1, -1, 1, 1, 1, 2)) for pp, p in sieve.entries if pp == p}
+    coeff.update({3: 7, 5: -9, 7: 11, 11: -5, 13: 13, 17: -17})
+    return coeff
+
+
+def test_coefficients_value_ignores_insertion_order(sieve100k, ctx128):
+    coeff = _class_map(sieve100k)
+    want = coefficients_value(coeff, ctx128)
+    items = list(coeff.items())
+    orders = [items[::-1], sorted(items, key=lambda pc: -pc[1]),
+              sorted(items, key=lambda pc: abs(pc[1]))]
+    for seed in range(4):
+        random.Random(seed).shuffle(items)
+        orders.append(list(items))
+    for order in orders:
+        assert coefficients_value(dict(order), ctx128) == want
+
+
+def test_coefficients_value_against_fsum(sieve100k, ctx128):
+    coeff = _class_map(sieve100k)
+    classes = set(coeff.values())
+    assert len(classes) >= 5 and any(abs(c) >= 2 for c in classes)
+    ones = math.prod(p for p, c in coeff.items() if c == 1)
+    assert ones.bit_length() > 2 * (ctx128.bits + ctx128.guard_bits)  # folds twice or more
+    got = coefficients_value(coeff, ctx128)
+    with mp.workprec(ctx128.bits + ctx128.guard_bits + 64):
+        want = mp.fsum(c * mp.log(p) for p, c in coeff.items())
+        scale = mp.fsum(abs(c) * mp.log(p) for p, c in coeff.items())
+        assert abs(got - want) <= mpf(2) ** -(ctx128.bits - 8) * scale
 
 
 def test_coefficients_are_bounded_counts(sieve600):
