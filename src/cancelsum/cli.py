@@ -1,10 +1,11 @@
 """Command-line front end: every experiment as a subcommand emitting
 CSV or JSON rows.
 
-Global flags --bits/--format/--out/--sieve-cache apply to every
-subcommand; --config points at a JSON file whose keys mirror the flag
-names (explicit flags win).  High-precision values serialize as
-decimal strings, never binary floats, and identical configurations
+argparse is the one input layer.  Each flag is declared once, with its
+type, default and choices, on the subcommands that read it: --format on
+all of them, --bits on those that choose a working precision, and
+--sieve-cache on psi-sum and psi-half.  High-precision values serialize
+as decimal strings, never binary floats, and identical arguments
 produce byte-identical output.
 
 Exit codes: 0 success, 1 violated identity or failed check,
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -25,8 +25,7 @@ from fractions import Fraction
 
 from . import contour as contour_mod
 from . import oscsum, partition, primes, pte
-from .errors import (CancelsumError, DegreeMismatchError, DomainError,
-                     PrecisionError, QuadratureError, ResourceError)
+from .errors import CancelsumError, DomainError, PrecisionError, ResourceError
 from .numerics import (PrecisionContext, context_for, nstr_for_bits,
                        required_bits, to_fraction_exact, to_mpf_exact)
 
@@ -36,33 +35,33 @@ _RATE_TOKENS = {
     "growth-p1": partition.growth_p1,
     "growth-p3": partition.growth_p3,
 }
+_KERNELS = ("p1", "p2", "p3", "p4", "sqrt_p1", "exp_sqrt", "bessel", "power",
+            "complex_exp")
+_FORMS = ("pentagonal", "square", "custom")
+
+# Points in one generated --x-grid; the largest grid in use has 20.
+MAX_GRID_POINTS = 1_000
 
 
 def _input_parser(convert):
-    """The parser for one CLI/config input: malformed input becomes a
-    DomainError (exit 2 with an {"error": ...} line), never a traceback."""
-    def parse(value):
+    """The type= of one flag: malformed input becomes an argparse usage
+    error (exit 2, one {"error": ...} line).  argparse alone would let an
+    ArithmeticError (--x 1/0) escape as a traceback."""
+    def parse(text):
         try:
-            return convert(value)
-        except DomainError:
-            raise
+            return convert(text)
         except (ValueError, TypeError, ArithmeticError) as exc:
-            raise DomainError("bad input %r: %s" % (value, exc)) from None
+            raise argparse.ArgumentTypeError("bad input %r: %s" % (text, exc)) from None
     return parse
 
 
-_parse_int = _input_parser(int)
+_int = _input_parser(int)
 
 
 @_input_parser
-def _parse_number(value):
-    """Exact rational from CLI/config input: int, Fraction string
-    ("3/2"), or decimal string ("2.5")."""
-    if isinstance(value, (int, Fraction)):
-        return value
-    if isinstance(value, float):
-        return to_fraction_exact(value)
-    text = str(value).strip()
+def _number(text):
+    """Exact rational: int, Fraction ("3/2") or decimal ("2.5", "1e-14")."""
+    text = text.strip()
     if "/" in text:
         return Fraction(text)
     if "." in text or "e" in text or "E" in text:
@@ -70,36 +69,30 @@ def _parse_number(value):
     return int(text)
 
 
-def _parse_rate(value):
-    """A kernel growth rate: named token, else exact number."""
-    if isinstance(value, str) and value in _RATE_TOKENS:
-        return _RATE_TOKENS[value]
-    return _parse_number(value)
-
-
-def _parse_grid(opts) -> list:
-    """--x (repeatable) or --x-grid 'geom:lo:hi:n' | 'lin:lo:hi:n' |
-    'a,b,c'; geometric/linear grids round to integers."""
-    if "x" in opts:
-        xs = opts["x"]
-        if not isinstance(xs, list):
-            xs = [xs]
-        return [_parse_number(v) for v in xs]
-    spec = opts.get("x_grid")
-    if spec is None:
-        raise DomainError("missing --x or --x-grid")
-    text = str(spec)
-    if text.startswith(("geom:", "lin:")):
-        return _grid_points(text)
-    return [_parse_number(v) for v in text.split(",")]
+def _rate(text):
+    """A kernel growth rate: named growth constant, else exact number."""
+    if text in _RATE_TOKENS:
+        return _RATE_TOKENS[text]
+    return _number(text)
 
 
 @_input_parser
-def _grid_points(text: str) -> list:
+def _bits(text):
+    """Working precision in bits; None for 'auto'."""
+    return None if text == "auto" else int(text)
+
+
+@_input_parser
+def _x_grid(text: str) -> list:
+    """'geom:lo:hi:n' | 'lin:lo:hi:n' (rounded to integers) | 'a,b,c'."""
+    if not text.startswith(("geom:", "lin:")):
+        return [_number(v) for v in text.split(",")]
     kind, lo_s, hi_s, n_s = text.split(":")
     lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     if n < 1 or lo <= 0 or hi < lo:
-        raise DomainError("bad grid spec %r" % text)
+        raise DomainError("needs n >= 1 and 0 < lo <= hi")
+    if n > MAX_GRID_POINTS:
+        raise ResourceError("grid of %d points exceeds budget %d" % (n, MAX_GRID_POINTS))
     if n == 1:
         return [int(round(lo))]
     pts = []
@@ -110,72 +103,50 @@ def _grid_points(text: str) -> list:
     return pts
 
 
-def _resolve_ctx(opts, x, growth) -> PrecisionContext:
-    bits = opts.get("bits", "auto")
-    if bits == "auto":
+@_input_parser
+def _float_pair(text: str) -> tuple:
+    first, second = text.split(",")
+    return float(first), float(second)
+
+
+def _resolve_ctx(bits, x, growth) -> PrecisionContext:
+    if bits is None:
         g = growth() if callable(growth) else growth
         return context_for(x, float(g) if g else 0.0)
-    return PrecisionContext(bits=_parse_int(bits))
+    return PrecisionContext(bits=bits)
 
 
-def _form_from(opts) -> oscsum.QuadraticForm:
-    name = opts.get("form", "pentagonal")
-    if name == "pentagonal":
-        return oscsum.pentagonal_form()
-    if name == "square":
-        return oscsum.square_form(_parse_number(opts.get("T", 1)))
-    if name == "custom":
-        return oscsum.QuadraticForm(_parse_number(opts.get("a", 1)),
-                                    _parse_number(opts.get("b", 0)),
-                                    _parse_number(opts.get("d", 0)))
-    raise DomainError("unknown form %r" % name)
+def _form_from(args) -> oscsum.QuadraticForm:
+    if args.form == "square":
+        return oscsum.square_form(args.T)
+    if args.form == "custom":
+        return oscsum.QuadraticForm(args.a, args.b, args.d)
+    return oscsum.pentagonal_form()
 
 
-def _kernel_from(opts) -> oscsum.KernelSpec:
-    name = opts.get("kernel", "p2")
-    if name in ("p1", "p2", "p3", "p4", "sqrt_p1"):
-        return oscsum.rademacher_kernel(name)
-    if name == "exp_sqrt":
-        return oscsum.exp_sqrt_kernel(_parse_rate(opts.get("c", 1)))
-    if name == "bessel":
-        return oscsum.bessel_kernel(_parse_int(opts.get("alpha_order", 0)),
-                                    _parse_rate(opts.get("c", 1)))
-    if name == "power":
-        return oscsum.power_kernel(_parse_number(opts.get("k_half", 1)))
-    if name == "complex_exp":
-        return oscsum.complex_exp_kernel(_parse_number(opts.get("alpha", 1)),
-                                         _parse_number(opts.get("beta", 0)),
-                                         _parse_number(opts.get("T", 1)))
-    raise DomainError("unknown kernel %r" % name)
+def _kernel_from(args) -> oscsum.KernelSpec:
+    if args.kernel == "exp_sqrt":
+        return oscsum.exp_sqrt_kernel(args.c)
+    if args.kernel == "bessel":
+        return oscsum.bessel_kernel(args.alpha_order, args.c)
+    if args.kernel == "power":
+        return oscsum.power_kernel(args.k_half)
+    if args.kernel == "complex_exp":
+        return oscsum.complex_exp_kernel(args.alpha, args.beta, args.T)
+    return oscsum.rademacher_kernel(args.kernel)
 
 
-def _blank_none(row: dict) -> dict:
-    return {k: ("" if v is None else v) for k, v in row.items()}
+def _emit(rows: list, columns: list, fmt: str) -> None:
+    if fmt == "json":
+        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
+        return
+    writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: "" if row.get(k) is None else row[k] for k in columns})
 
 
-def _emit(rows: list, columns: list, opts) -> None:
-    fmt = opts.get("format", "csv")
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(_blank_none({k: row.get(k, "") for k in columns}))
-        text = buf.getvalue()
-    elif fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        raise DomainError("unknown format %r" % fmt)
-    path = opts.get("out")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _sieve_for(limit: int, opts) -> primes.LambdaSieve:
-    path = opts.get("sieve_cache")
+def _sieve_for(limit: int, path) -> primes.LambdaSieve:
     if path and os.path.exists(path):
         sieve = primes.load_sieve(path)
         if sieve.limit >= limit:
@@ -189,13 +160,13 @@ def _sieve_for(limit: int, opts) -> primes.LambdaSieve:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_pnt_verify(opts) -> int:
-    x_max = _parse_int(opts.get("x_max", 2000))
+def cmd_pnt_verify(args) -> int:
+    x_max = args.x_max
     if x_max < 1:
         raise DomainError("x_max must be >= 1")
     table = partition.ExactPartitionTable()
-    if opts.get("inject_corruption"):
-        table.grow(x_max)
+    table.grow(x_max)  # checks the table budget before any checksum
+    if args.inject_corruption:
         values = [table.partition(i) for i in range(x_max + 1)]
         values[max(1, x_max // 2)] += 1
         table = partition.ExactPartitionTable(values)
@@ -209,122 +180,97 @@ def cmd_pnt_verify(opts) -> int:
     status = "ok" if failures == 0 else "violated"
     _emit([{"x_max": x_max, "failures": failures, "first_failure": first,
             "status": status}],
-          ["x_max", "failures", "first_failure", "status"], opts)
+          ["x_max", "failures", "first_failure", "status"], args.format)
     return 0 if failures == 0 else 1
 
 
 _SUM_COLUMNS = ["x", "re", "im", "abs", "terms", "bound", "ratio", "bits"]
 
 
-def cmd_osc_sum(opts) -> int:
-    kernel = _kernel_from(opts)
-    q = _form_from(opts)
+def cmd_osc_sum(args) -> int:
+    kernel = _kernel_from(args)
+    q = _form_from(args)
     rows = []
-    for x in _parse_grid(opts):
-        ctx = _resolve_ctx(opts, x, kernel.growth)
+    for x in args.x:
+        ctx = _resolve_ctx(args.bits, x, kernel.growth)
         bound = None
         if kernel.growth:
             bound = oscsum.bound_main1(q.a, kernel.growth, x, ctx)
         report = oscsum.alternating_sum(kernel, q, x, ctx, predicted_bound=bound)
         rows.append(report.to_json_dict())
-    _emit(rows, _SUM_COLUMNS, opts)
+    _emit(rows, _SUM_COLUMNS, args.format)
     return 0
 
 
-def cmd_bound(opts) -> int:
-    family = opts.get("family", "main1")
+def cmd_bound(args) -> int:
     rows = []
-    if family == "main1":
-        a = _parse_number(opts.get("a", Fraction(3, 2)))
-        c = _parse_rate(opts.get("c", "growth-p1"))
+    if args.family == "main1":
+        a, c = args.a, args.c
         alpha_star, w = oscsum.maximize_delta(a, c)
-        for x in _parse_grid(opts):
-            ctx = _resolve_ctx(opts, x, c)
+        for x in args.x:
+            ctx = _resolve_ctx(args.bits, x, c)
             b = oscsum.bound_main1(a, c, x, ctx)
             rows.append({"x": str(x), "a": str(Fraction(a)),
                          "alpha_star": nstr_for_bits(alpha_star, 128),
                          "w": nstr_for_bits(w, 128),
                          "bound": nstr_for_bits(b, ctx.bits)})
-        _emit(rows, ["x", "a", "alpha_star", "w", "bound"], opts)
+        _emit(rows, ["x", "a", "alpha_star", "w", "bound"], args.format)
         return 0
-    if family == "main2":
-        alpha = _parse_number(opts.get("alpha", 1))
-        beta = _parse_number(opts.get("beta", 0))
-        T = _parse_number(opts.get("T", 1))
-        slack = _parse_number(opts.get("delta_slack", Fraction(1, 100)))
-        for x in _parse_grid(opts):
-            b = oscsum.bound_main2(alpha, beta, T, x, slack)
-            rows.append({"x": str(x), "alpha": str(alpha), "beta": str(beta),
-                         "T": str(T), "delta_slack": str(slack),
-                         "bound": nstr_for_bits(b, 192)})
-        _emit(rows, ["x", "alpha", "beta", "T", "delta_slack", "bound"], opts)
-        return 0
-    raise DomainError("unknown bound family %r" % family)
-
-
-def cmd_psi_sum(opts) -> int:
-    if "x" not in opts or "T" not in opts:
-        raise DomainError("psi-sum needs --x and --T")
-    x = _parse_number(opts["x"])
-    T = _parse_number(opts["T"])
-    method = opts.get("method", "bucket")
-    if method not in primes.PSI_METHODS:
-        raise DomainError("unknown method %r" % (method,))
-    ctx = _resolve_ctx(opts, x, 0.0)
-    sieve = _sieve_for(primes.sieve_limit(x), opts)
-    report = primes.psi_weak_pentagonal(x, T, sieve, ctx, method=method)
-    row = report.to_json_dict()
-    row["T"] = str(T)
-    row["method"] = method
-    _emit([row], ["x", "T", "method"] + _SUM_COLUMNS[1:], opts)
+    alpha, beta, T, slack = args.alpha, args.beta, args.T, args.delta_slack
+    for x in args.x:
+        b = oscsum.bound_main2(alpha, beta, T, x, slack)
+        rows.append({"x": str(x), "alpha": str(alpha), "beta": str(beta),
+                     "T": str(T), "delta_slack": str(slack),
+                     "bound": nstr_for_bits(b, 192)})
+    _emit(rows, ["x", "alpha", "beta", "T", "delta_slack", "bound"], args.format)
     return 0
 
 
-def cmd_psi_half(opts) -> int:
-    if "x" not in opts or "T" not in opts:
-        raise DomainError("psi-half needs --x and --T")
-    x = _parse_number(opts["x"])
-    T = _parse_number(opts["T"])
-    ctx = _resolve_ctx(opts, x, 0.0)
-    sieve = _sieve_for(primes.sieve_limit(x), opts)
+def cmd_psi_sum(args) -> int:
+    x, T = args.x, args.T
+    ctx = _resolve_ctx(args.bits, x, 0.0)
+    sieve = _sieve_for(primes.sieve_limit(x), args.sieve_cache)
+    report = primes.psi_weak_pentagonal(x, T, sieve, ctx, method=args.method)
+    row = report.to_json_dict()
+    row["T"] = str(T)
+    row["method"] = args.method
+    _emit([row], ["x", "T", "method"] + _SUM_COLUMNS[1:], args.format)
+    return 0
+
+
+def cmd_psi_half(args) -> int:
+    x, T = args.x, args.T
+    ctx = _resolve_ctx(args.bits, x, 0.0)
+    sieve = _sieve_for(primes.sieve_limit(x), args.sieve_cache)
     report = primes.psi_interval_half(x, T, sieve, ctx)
     row = {"x": str(x), "T": str(T)}
     row.update(report.to_json_dict())
     _emit([row], ["x", "T", "lhs", "rhs", "rel_err", "boundary", "ell_max",
-                  "psi_full", "bits"], opts)
+                  "psi_full", "bits"], args.format)
     return 0
 
 
-def cmd_pte_construct(opts) -> int:
-    if "n" not in opts or "m" not in opts:
-        raise DomainError("pte-construct needs --n and --m")
-    n, m = _parse_int(opts["n"]), _parse_int(opts["m"])
-    pair = pte.construct_pair(n, m)
-    _emit([{"n": n, "m": m, "N": pair.N, "adjusted": pair.adjusted,
-            "k_regime": pte.k_regime(n, m)}],
-          ["n", "m", "N", "adjusted", "k_regime"], opts)
+def cmd_pte_construct(args) -> int:
+    pair = pte.construct_pair(args.n, args.m)
+    _emit([{"n": args.n, "m": args.m, "N": pair.N, "adjusted": pair.adjusted,
+            "k_regime": pte.k_regime(args.n, args.m)}],
+          ["n", "m", "N", "adjusted", "k_regime"], args.format)
     return 0
 
 
-def cmd_pte_verify(opts) -> int:
-    if "n" not in opts or "m" not in opts:
-        raise DomainError("pte-verify needs --n and --m")
-    n, m = _parse_int(opts["n"]), _parse_int(opts["m"])
-    pair = pte.construct_pair(n, m)
-    r_max = _parse_int(opts.get("r_max", pte.k_regime(n, m)))
+def cmd_pte_verify(args) -> int:
+    pair = pte.construct_pair(args.n, args.m)
+    r_max = args.r_max if args.r_max is not None else pte.k_regime(args.n, args.m)
     rows = [row.to_json_dict() for row in pte.verify_pte_bound(pair, r_max)]
-    _emit(rows, ["r", "diff", "bound", "ratio", "within_regime"], opts)
+    _emit(rows, ["r", "diff", "bound", "ratio", "within_regime"], args.format)
     return 0
 
 
-def cmd_frm_degree(opts) -> int:
-    if "r" in opts:
-        r_values = [_parse_int(opts["r"])]
-    elif "r_max" in opts:
-        r_values = list(range(1, _parse_int(opts["r_max"]) + 1))
-    else:
-        raise DomainError("frm-degree needs --r or --r-max")
-    as_json = opts.get("format", "csv") == "json"
+def cmd_frm_degree(args) -> int:
+    r_values = [args.r] if args.r is not None else range(1, args.r_max + 1)
+    if r_values and r_values[-1] > pte.MAX_POWER:  # before any work
+        raise ResourceError("r = %d exceeds budget %d" % (r_values[-1], pte.MAX_POWER))
+    as_json = args.format == "json"
     rows = []
     for r in r_values:
         degree, poly = pte.detect_degree(r)
@@ -335,118 +281,80 @@ def cmd_frm_degree(opts) -> int:
                      "bound_ok": pte.coefficient_bound_check(r, poly),
                      "poly": str(poly)})
     _emit(rows, ["r", "degree", "coeffs", "max_abs_coeff", "bound_ok", "poly"],
-          opts)
+          args.format)
     return 0
 
 
-def cmd_lemma_sum(opts) -> int:
-    for key in ("x", "T", "k"):
-        if key not in opts:
-            raise DomainError("lemma-sum needs --x, --T and --k")
-    x = _parse_number(opts["x"])
-    T = _parse_number(opts["T"])
-    k = _parse_int(opts["k"])
-    u = _parse_number(opts.get("u", 1))
-    ctx = _resolve_ctx(opts, x, 0.0)
+def cmd_lemma_sum(args) -> int:
+    x, T, k, u = args.x, args.T, args.k, args.u
+    ctx = _resolve_ctx(args.bits, x, 0.0)
     value = pte.lemma_sum(x, T, k, ctx)
     exact = k % 2 == 0
     text = str(value) if exact else nstr_for_bits(value, ctx.bits)
     bound = pte.lemma_bound(x, T, k, u, ctx)
     _emit([{"x": str(x), "T": str(T), "k": k, "u": str(u), "value": text,
             "exact_rational": exact, "bound": nstr_for_bits(bound, ctx.bits)}],
-          ["x", "T", "k", "u", "value", "exact_rational", "bound"], opts)
+          ["x", "T", "k", "u", "value", "exact_rational", "bound"], args.format)
     return 0
 
 
-def cmd_contour_check(opts) -> int:
-    if "x" not in opts:
-        raise DomainError("contour-check needs --x")
-    x = _parse_number(opts["x"])
-    u = _parse_number(opts.get("u", 1))
-    kernel = _kernel_from(opts)
-    q = _form_from(opts)
-    tol = _parse_number(opts.get("tol", "1e-14"))
-    threshold = opts.get("max_rel_err")
-    if threshold is not None:
-        threshold = _parse_number(threshold)
+def cmd_contour_check(args) -> int:
+    x, u = args.x, args.u
+    kernel = _kernel_from(args)
+    q = _form_from(args)
     # auto never goes below 320 bits, where every contour tolerance and
     # evaluation count in use was set; steeper kernels get the policy bits
-    bits = opts.get("bits", "auto")
-    if bits == "auto":
+    bits = args.bits
+    if bits is None:
         bits = max(320, required_bits(x, kernel.growth))
-    ctx = PrecisionContext(bits=_parse_int(bits))
-    report = contour_mod.residue_identity_check(kernel, q, x, u, ctx, tol=tol)
+    ctx = PrecisionContext(bits=bits)
+    report = contour_mod.residue_identity_check(kernel, q, x, u, ctx, tol=args.tol)
     row = report.to_json_dict()
     row["u"] = str(u)
-    if opts.get("format", "csv") == "csv":
+    if args.format == "csv":
         flat = dict(row)
         mags = flat.pop("leg_mags")
         for i, m in enumerate(mags, start=1):
             flat["leg%d" % i] = m
         _emit([flat], ["x", "u", "quad_re", "quad_im", "discrete_re",
                        "discrete_im", "rel_err", "leg1", "leg2", "leg3",
-                       "leg4"], opts)
+                       "leg4"], args.format)
     else:
-        _emit([row], [], opts)
+        _emit([row], [], args.format)
+    threshold = args.max_rel_err
     if threshold is not None and report.rel_err > to_mpf_exact(threshold):
         return 1
     return 0
 
 
-@_input_parser
-def _float_pair(text: str) -> tuple:
-    first, second = text.split(",")
-    return float(first), float(second)
-
-
-def cmd_exponent_fit(opts) -> int:
+def cmd_exponent_fit(args) -> int:
     samples = []
-    if "synthetic" in opts:
-        w_true, intercept = _float_pair(str(opts["synthetic"]))
-        xs = _parse_grid(opts)
+    if args.synthetic is not None:
+        w_true, intercept = args.synthetic
         try:
-            for x in xs:
+            for x in args.x:
                 samples.append((float(x), math.exp(w_true * math.sqrt(float(x)) + intercept)))
         except OverflowError:
             raise DomainError("synthetic samples overflow a float") from None
     else:
-        kernel = _kernel_from(opts)
-        q = _form_from(opts)
-        for x in _parse_grid(opts):
-            ctx = _resolve_ctx(opts, x, kernel.growth)
+        kernel = _kernel_from(args)
+        q = _form_from(args)
+        for x in args.x:
+            ctx = _resolve_ctx(args.bits, x, kernel.growth)
             report = oscsum.alternating_sum(kernel, q, x, ctx)
             samples.append((float(x), report.abs_value))
     w_hat, intercept, rms = oscsum.empirical_exponent(samples)
     _emit([{"points": len(samples), "w_hat": repr(w_hat),
             "intercept": repr(intercept), "rms": repr(rms)}],
-          ["points", "w_hat", "intercept", "rms"], opts)
+          ["points", "w_hat", "intercept", "rms"], args.format)
     return 0
 
 
-def cmd_pigeonhole(opts) -> int:
-    if "n" not in opts or "k" not in opts:
-        raise DomainError("pigeonhole needs --n and --k")
-    n, k = _parse_int(opts["n"]), _parse_int(opts["k"])
-    c = pte.pigeonhole_c(n, k)
-    _emit([{"n": n, "k": k, "c": str(c), "c_float": float(c)}],
-          ["n", "k", "c", "c_float"], opts)
+def cmd_pigeonhole(args) -> int:
+    c = pte.pigeonhole_c(args.n, args.k)
+    _emit([{"n": args.n, "k": args.k, "c": str(c), "c_float": float(c)}],
+          ["n", "k", "c", "c_float"], args.format)
     return 0
-
-
-_DISPATCH = {
-    "pnt-verify": cmd_pnt_verify,
-    "osc-sum": cmd_osc_sum,
-    "bound": cmd_bound,
-    "psi-sum": cmd_psi_sum,
-    "psi-half": cmd_psi_half,
-    "pte-construct": cmd_pte_construct,
-    "pte-verify": cmd_pte_verify,
-    "frm-degree": cmd_frm_degree,
-    "lemma-sum": cmd_lemma_sum,
-    "contour-check": cmd_contour_check,
-    "exponent-fit": cmd_exponent_fit,
-    "pigeonhole": cmd_pigeonhole,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -457,84 +365,110 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--bits", help="precision bits or 'auto'")
-    common.add_argument("--format", choices=["csv", "json"])
-    common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--sieve-cache", dest="sieve_cache",
-                        help="prime-power table cache path")
-    common.add_argument("--config", help="JSON config mirroring flags; flags win")
-
     parser = _Parser(prog="cancelsum", description="high-cancellation sum toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, *flags):
-        sp = sub.add_parser(name, parents=[common],
-                            argument_default=argparse.SUPPRESS)
-        for args, kwargs in flags:
-            sp.add_argument(*args, **kwargs)
+    def add(name, run, precision=False, sieve_cache=False):
+        sp = sub.add_parser(name)
+        sp.set_defaults(run=run)
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if precision:
+            sp.add_argument("--bits", type=_bits, default="auto",
+                            help="precision bits or 'auto'")
+        if sieve_cache:
+            sp.add_argument("--sieve-cache", help="prime-power table cache path")
         return sp
 
-    grid = [(("--x",), {"action": "append"}), (("--x-grid",), {"dest": "x_grid"})]
-    kern = [(("--kernel",), {}), (("--c",), {}), (("--alpha-order",), {"dest": "alpha_order"}),
-            (("--k-half",), {"dest": "k_half"}), (("--alpha",), {}), (("--beta",), {}),
-            (("--T",), {}), (("--form",), {}), (("--a",), {}), (("--b",), {}),
-            (("--d",), {})]
+    def required(sp, *names, type=_number):
+        for name in names:
+            sp.add_argument(name, type=type, required=True)
 
-    add("pnt-verify", (("--x-max",), {"dest": "x_max"}),
-        (("--inject-corruption",), {"dest": "inject_corruption",
-                                    "action": "store_true"}))
-    add("osc-sum", *grid, *kern)
-    add("bound", *grid, (("--family",), {}), (("--a",), {}), (("--c",), {}),
-        (("--alpha",), {}), (("--beta",), {}), (("--T",), {}),
-        (("--delta-slack",), {"dest": "delta_slack"}))
-    add("psi-sum", (("--x",), {}), (("--T",), {}), (("--method",), {}))
-    add("psi-half", (("--x",), {}), (("--T",), {}))
-    add("pte-construct", (("--n",), {}), (("--m",), {}))
-    add("pte-verify", (("--n",), {}), (("--m",), {}), (("--r-max",), {"dest": "r_max"}))
-    add("frm-degree", (("--r",), {}), (("--r-max",), {"dest": "r_max"}))
-    add("lemma-sum", (("--x",), {}), (("--T",), {}), (("--k",), {}), (("--u",), {}))
-    add("contour-check", (("--x",), {}), (("--u",), {}), (("--tol",), {}),
-        (("--max-rel-err",), {"dest": "max_rel_err"}), *kern)
-    add("exponent-fit", *grid, *kern, (("--synthetic",), {}))
-    add("pigeonhole", (("--n",), {}), (("--k",), {}))
+    def x_grid(sp):
+        group = sp.add_mutually_exclusive_group(required=True)
+        group.add_argument("--x", type=_number, action="append")
+        group.add_argument("--x-grid", dest="x", type=_x_grid, metavar="SPEC")
+
+    def kernel(sp):
+        sp.add_argument("--kernel", choices=_KERNELS, default="p2")
+        sp.add_argument("--c", type=_rate, default="1")
+        sp.add_argument("--alpha-order", type=_int, default="0")
+        sp.add_argument("--form", choices=_FORMS, default="pentagonal")
+        for name, default in (("--k-half", "1"), ("--alpha", "1"), ("--beta", "0"),
+                              ("--T", "1"), ("--a", "1"), ("--b", "0"), ("--d", "0")):
+            sp.add_argument(name, type=_number, default=default)
+
+    sp = add("pnt-verify", cmd_pnt_verify)
+    sp.add_argument("--x-max", type=_int, default="2000")
+    sp.add_argument("--inject-corruption", action="store_true")
+
+    sp = add("osc-sum", cmd_osc_sum, precision=True)
+    x_grid(sp)
+    kernel(sp)
+
+    sp = add("bound", cmd_bound, precision=True)
+    x_grid(sp)
+    sp.add_argument("--family", choices=("main1", "main2"), default="main1")
+    sp.add_argument("--a", type=_number, default="3/2")
+    sp.add_argument("--c", type=_rate, default="growth-p1")
+    sp.add_argument("--alpha", type=_number, default="1")
+    sp.add_argument("--beta", type=_number, default="0")
+    sp.add_argument("--T", type=_number, default="1")
+    sp.add_argument("--delta-slack", type=_number, default="1/100")
+
+    sp = add("psi-sum", cmd_psi_sum, precision=True, sieve_cache=True)
+    required(sp, "--x", "--T")
+    sp.add_argument("--method", choices=primes.PSI_METHODS, default="bucket")
+
+    sp = add("psi-half", cmd_psi_half, precision=True, sieve_cache=True)
+    required(sp, "--x", "--T")
+
+    sp = add("pte-construct", cmd_pte_construct)
+    required(sp, "--n", "--m", type=_int)
+
+    sp = add("pte-verify", cmd_pte_verify)
+    required(sp, "--n", "--m", type=_int)
+    sp.add_argument("--r-max", type=_int)
+
+    sp = add("frm-degree", cmd_frm_degree)
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--r", type=_int)
+    group.add_argument("--r-max", type=_int)
+
+    sp = add("lemma-sum", cmd_lemma_sum, precision=True)
+    required(sp, "--x", "--T")
+    required(sp, "--k", type=_int)
+    sp.add_argument("--u", type=_number, default="1")
+
+    sp = add("contour-check", cmd_contour_check, precision=True)
+    required(sp, "--x")
+    sp.add_argument("--u", type=_number, default="1")
+    sp.add_argument("--tol", type=_number, default="1e-14")
+    sp.add_argument("--max-rel-err", type=_number)
+    kernel(sp)
+
+    sp = add("exponent-fit", cmd_exponent_fit, precision=True)
+    x_grid(sp)
+    kernel(sp)
+    sp.add_argument("--synthetic", type=_float_pair, help="w,intercept")
+
+    sp = add("pigeonhole", cmd_pigeonhole)
+    required(sp, "--n", "--k", type=_int)
     return parser
 
 
-def _merge_config(opts: dict) -> dict:
-    path = opts.get("config")
-    if not path:
-        return opts
-    with open(path) as fh:
-        try:
-            loaded = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise DomainError("config %s is not JSON: %s" % (path, exc)) from None
-    if not isinstance(loaded, dict):
-        raise DomainError("config must be a JSON object")
-    merged = dict(loaded)
-    merged.update(opts)  # explicit flags win
-    return merged
+# First match wins; QuadratureError, DegreeMismatchError and any other
+# CancelsumError are a failed check.
+_EXIT_CODES = ((DomainError, 2), (PrecisionError, 2), (ResourceError, 3),
+               (OSError, 3), (CancelsumError, 1))
 
 
 def main(argv=None) -> int:
     try:
-        opts = vars(_build_parser().parse_args(argv))
-        command = opts.pop("command")
-        opts = _merge_config(opts)
-        return _DISPATCH[command](opts)
-    except (DomainError, PrecisionError) as exc:
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
+    except (CancelsumError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 2
-    except ResourceError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 3
-    except OSError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 3
-    except (QuadratureError, DegreeMismatchError, CancelsumError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -21,12 +21,17 @@ from typing import Sequence
 
 from mpmath import mp, mpf
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .numerics import PrecisionContext
 
 # growth constants c in kernel ~ e^{c*sqrt(y)}, consumed by the precision policy
 GROWTH_P1 = math.pi * math.sqrt(2.0 / 3.0)  # p1, p2, p4
 GROWTH_P3 = math.pi / math.sqrt(6.0)  # p3 and sqrt(p1)
+
+# Largest n of an exact table; the largest in use is 10,101 (pnt-verify in
+# the cli-mix benchmark); pnt-verify at the cap takes about 40 s (CPython
+# 3.11, one core).
+MAX_PARTITION_N = 100_000
 
 
 def growth_p1() -> mpf:
@@ -62,6 +67,9 @@ class ExactPartitionTable:
         return len(self._values) - 1
 
     def grow(self, n_max: int) -> None:
+        if n_max > MAX_PARTITION_N:
+            raise ResourceError("partition table to %d exceeds budget %d"
+                                % (n_max, MAX_PARTITION_N))
         with self._lock:
             values = self._values
             for k in range(len(values), n_max + 1):

@@ -37,9 +37,9 @@ from .oscsum import MAX_INDEX_RANGE, SumReport
 
 # A psi run peaks near 1 byte per integer (sieve flags) plus, per prime
 # power, ~105 bytes for psi-half (index entry and prime-power list) and
-# ~215 for psi-sum, whose coefficient map makes up the difference (peak RSS,
-# CPython 3.11): psi-half and psi-sum take 164 and 266 MB at x=280, 271 and
-# 495 MB for the 2.05M prime powers at x=300, about 0.7 and 1.4 GB at the cap.
+# ~180 for psi-sum, whose coefficient map makes up the difference (peak RSS,
+# CPython 3.11): psi-half and psi-sum take 165 and 236 MB at x=280, 272 and
+# 416 MB for the 2.05M prime powers at x=300, about 0.7 and 1.1 GB at the cap.
 MAX_SIEVE_LIMIT = 100_000_000
 PSI_METHODS = ("bucket", "direct")
 
@@ -211,7 +211,11 @@ def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> dic
             if running:
                 p = sieve.entries[i][1]
                 coeff[p] = coeff.get(p, 0) + running
-    return {p: c for p, c in coeff.items() if c != 0}
+    # only primes whose powers cancel are zero: delete those few in place
+    # rather than copy the map
+    for p in [p for p, c in coeff.items() if c == 0]:
+        del coeff[p]
+    return coeff
 
 
 def coefficients_value(coeff: dict[int, int], ctx: PrecisionContext) -> mpf:

@@ -23,9 +23,14 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .errors import DegreeMismatchError, DomainError
+from .errors import DegreeMismatchError, DomainError, ResourceError
 from .numerics import PrecisionContext, nstr_for_bits, to_fraction_exact, to_mpf_exact
-from .oscsum import square_form
+from .oscsum import MAX_INDEX_RANGE, square_form
+
+# Largest power r of a power-sum row or of f_r; the largest in use is 16
+# (frm-degree --r-max 16); frm-degree at the cap takes about 2 s (CPython
+# 3.11, one core).
+MAX_POWER = 64
 
 
 def integer_root(k: int, value: int) -> int:
@@ -61,6 +66,8 @@ def construct_pair(n: int, m: int) -> PTEPair:
     (N+1)^{2m+1} > (2n)^{2m} >= (2n-1)^2."""
     if n < 2 or m < 1:
         raise DomainError("construct_pair needs n >= 2 and m >= 1")
+    if n > MAX_INDEX_RANGE:  # the largest n in use is about 105
+        raise ResourceError("n = %d exceeds budget %d" % (n, MAX_INDEX_RANGE))
     N = integer_root(2 * m + 1, (2 * n) ** (2 * m))
     power = N ** (2 * m + 1)
     adjusted = False
@@ -113,6 +120,8 @@ def verify_pte_bound(pair: PTEPair, r_max: int) -> list[PTERow]:
     flagged; the max ratio over in-regime rows is the empirical constant."""
     if r_max < 1:
         raise DomainError("verify_pte_bound needs r_max >= 1")
+    if r_max > MAX_POWER:
+        raise ResourceError("r = %d exceeds budget %d" % (r_max, MAX_POWER))
     k = k_regime(pair.n, pair.m)
     rows = []
     bits = max(128, int(r_max * (2 * pair.m + 1) * math.log2(max(pair.N, 2))) + 64)
@@ -196,6 +205,8 @@ def detect_degree(r: int) -> tuple[int, IntegerPolynomial]:
     """
     if r < 1:
         raise DomainError("detect_degree needs r >= 1")
+    if r > MAX_POWER:
+        raise ResourceError("r = %d exceeds budget %d" % (r, MAX_POWER))
     samples = [f_r_exact(M, r) for M in range(1, r + 5)]
     diff_rows = [samples]
     while diff_rows[-1] and any(diff_rows[-1]):

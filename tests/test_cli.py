@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from cancelsum.cli import main
+from cancelsum.cli import _build_parser, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -116,6 +116,15 @@ def test_resource_error_exit_3(capsys):
     ["contour-check", "--x", "1/10", "--kernel", "exp_sqrt", "--c", "1",
      "--max-rel-err", "abc"],
     ["pte-construct", "--n", "100", "--m", "1", "--no-adjust"],
+    # removed flags: a config file and an output path (use > PATH)
+    ["pnt-verify", "--config", "f"],
+    ["osc-sum", "--x", "10", "--out", "f"],
+    # a flag on a subcommand that does not read it
+    ["pnt-verify", "--x-max", "5", "--bits", "200"],
+    ["osc-sum", "--x", "10", "--sieve-cache", "s"],
+    # exclusive alternatives
+    ["osc-sum", "--x", "10", "--x-grid", "10,20"],
+    ["frm-degree", "--r", "2", "--r-max", "3"],
     pytest.param([], id="no subcommand"),
 ], ids=" ".join)
 def test_bad_input_one_error_line(argv):
@@ -145,9 +154,15 @@ def test_precision_budget_exit_3(argv):
      "--form", "square"],
     ["psi-sum", "--x", "3", "--T", "1e30"],
     ["psi-half", "--x", "3", "--T", "1e30"],
+    ["pte-construct", "--n", "1000000000", "--m", "1"],
+    ["pnt-verify", "--x-max", "1000000"],
+    ["frm-degree", "--r-max", "100000"],
+    ["pte-verify", "--n", "100", "--m", "1", "--r-max", "100000"],
+    ["osc-sum", "--kernel", "power", "--x-grid", "lin:100:101:100000000"],
 ], ids=" ".join)
 def test_work_budget_exit_3(argv):
-    # index ranges and initial contour panels are capped before any work
+    # index ranges, initial contour panels, partition tables, powers r and
+    # grid points are capped before any work
     assert_one_error_line(run_process(["-m", "cancelsum.cli"] + argv), 3)
 
 
@@ -161,33 +176,19 @@ def test_cli_import_leaves_numpy_out():
 # determinism and output plumbing
 
 
-def test_byte_identical_runs(tmp_path, capsys):
+def test_byte_identical_runs(capsys):
     argv = ["osc-sum", "--x", "2000", "--kernel", "p2", "--bits", "300"]
-    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    for p in paths:
-        assert main(argv + ["--out", str(p)]) == 0
-    capsys.readouterr()
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    argv_json = argv + ["--format", "json"]
-    outs = []
-    for _ in range(2):
-        code, out, _ = run(argv_json, capsys)
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+    for fmt in ("csv", "json"):
+        outs = []
+        for _ in range(2):
+            code, out, _ = run(argv + ["--format", fmt], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
-def test_config_file_merge(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"x_max": 100}))
-    code, out, _ = run(["pnt-verify", "--config", str(cfg)], capsys)
-    assert code == 0
-    assert rows_of(out)[0]["x_max"] == "100"
-    # explicit flag wins over the config value
-    code, out, _ = run(["pnt-verify", "--config", str(cfg), "--x-max", "50"],
-                       capsys)
-    assert rows_of(out)[0]["x_max"] == "50"
+# --config is not a flag: whatever the file holds, the flag itself is the
+# usage error (exit 2, one error line naming it) and the file is never read.
 
 
 @pytest.mark.parametrize("text", ["{bad", "\udcff"], ids=["not JSON", "not UTF-8"])
@@ -195,15 +196,21 @@ def test_malformed_config_one_error_line(tmp_path, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
     argv = ["-m", "cancelsum.cli", "pnt-verify", "--config", str(cfg)]
-    assert_one_error_line(run_process(argv), 2)
+    proc = run_process(argv)
+    assert_one_error_line(proc, 2)
+    assert "--config" in json.loads(proc.stderr)["error"]
 
 
 def test_config_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
-    code, _, err = run(["pnt-verify", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "error" in json.loads(err)
+    code, out, err = run(["pnt-verify", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert "--config" in json.loads(err)["error"]
+    cfg.write_text(json.dumps({"x_max": 100}))
+    code, out, err = run(["pnt-verify", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert "--config" in json.loads(err)["error"]
 
 
 def test_sieve_cache_roundtrip(tmp_path, capsys):
@@ -451,10 +458,48 @@ def test_contour_check_json_keys(capsys):
     assert len(row["leg_mags"]) == 4
 
 
+# Minimal valid arguments of each subcommand.  Only parsing runs here.
+_VALID = {
+    "pnt-verify": ["--x-max", "5"],
+    "osc-sum": ["--x", "10"],
+    "bound": ["--x", "10"],
+    "psi-sum": ["--x", "10", "--T", "1"],
+    "psi-half": ["--x", "10", "--T", "1"],
+    "pte-construct": ["--n", "10", "--m", "1"],
+    "pte-verify": ["--n", "10", "--m", "1"],
+    "frm-degree": ["--r", "2"],
+    "lemma-sum": ["--x", "1", "--T", "4", "--k", "2"],
+    "contour-check": ["--x", "50"],
+    "exponent-fit": ["--x-grid", "100,200"],
+    "pigeonhole": ["--n", "10", "--k", "4"],
+}
+_PRECISION = {"osc-sum", "bound", "psi-sum", "psi-half", "lemma-sum",
+              "contour-check", "exponent-fit"}
+_SIEVE = {"psi-sum", "psi-half"}
+
+
+@pytest.mark.parametrize("command", sorted(_VALID))
+def test_flags_only_where_read(command, capsys):
+    # each flag parses only on the subcommands that read it
+    base = [command] + _VALID[command]
+    parser = _build_parser()
+    assert parser.parse_args(base + ["--format", "json"]).format == "json"
+    for flag, owners in (("--bits", _PRECISION), ("--sieve-cache", _SIEVE),
+                         ("--config", ()), ("--out", ())):
+        argv = base + [flag, "7"]
+        if command in owners:
+            args = parser.parse_args(argv)
+            assert str(getattr(args, flag[2:].replace("-", "_"))) == "7"
+            continue
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert flag in json.loads(err)["error"]
+
+
 # ---------------------------------------------------------------------------
 # property: any argv ends in an exit code and at most one error line
 
-_COMMON_FLAGS = ["--bits", "--format", "--out", "--sieve-cache", "--config"]
+_UNKNOWN_FLAGS = ["--bogus", "--config", "--out"]
 _KERNEL_FLAGS = ["--kernel", "--c", "--form", "--T", "--a", "--b", "--d", "--alpha",
                  "--beta", "--k-half", "--alpha-order"]
 _FLAGS = {
@@ -474,6 +519,12 @@ _FLAGS = {
     "exponent-fit": ["--x", "--x-grid", "--synthetic"] + _KERNEL_FLAGS,
     "pigeonhole": ["--n", "--k"],
 }
+for _command, _flags in _FLAGS.items():
+    _flags.append("--format")
+    if _command in _PRECISION:
+        _flags.append("--bits")
+    if _command in _SIEVE:
+        _flags.append("--sieve-cache")
 _SWITCHES = {"--inject-corruption"}
 _TOKENS = ["abc", "1/0", "-1", "0", "3/2", "1e30", "geom:1:2", "auto",
            "json", "exp_sqrt", "square", "custom", "main2", "direct"]
@@ -485,7 +536,7 @@ def _argv(draw):
     value = st.one_of(st.sampled_from(_TOKENS), st.integers(-2, 12).map(str))
     argv = [] if command is None else [command]
     flags = draw(st.lists(st.sampled_from(_FLAGS.get(command, ["--x"])), max_size=5))
-    flags += draw(st.lists(st.sampled_from(_COMMON_FLAGS + ["--bogus"]), max_size=1))
+    flags += draw(st.lists(st.sampled_from(_UNKNOWN_FLAGS), max_size=1))
     for flag in draw(st.permutations(flags)):
         argv += [flag] if flag in _SWITCHES else [flag, draw(value)]
     return argv
@@ -496,7 +547,7 @@ def _argv(draw):
 def test_any_argv_exit_code_and_one_error_line(argv):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as work:
-        Path(work, "abc").write_text("{not json")  # for --config/--sieve-cache abc
+        Path(work, "abc").write_text("{not json")  # for --sieve-cache abc
         cwd = os.getcwd()
         os.chdir(work)
         try:

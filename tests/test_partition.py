@@ -1,8 +1,9 @@
 import pytest
 from mpmath import mp
 
-from cancelsum import (DomainError, ExactPartitionTable, p1, p2, p3, p4,
-                       partition_exact, pentagonal, pnt_checksum)
+from cancelsum import (DomainError, ExactPartitionTable, ResourceError, p1, p2, p3,
+                       p4, partition_exact, pentagonal, pnt_checksum)
+from cancelsum.partition import MAX_PARTITION_N
 from cancelsum.numerics import to_mpf_exact
 
 
@@ -32,6 +33,9 @@ def test_table_monotone():
     values = [table.partition(k) for k in range(301)]
     assert values[0] == 1
     assert all(values[k] >= values[k - 1] for k in range(1, 301))
+    with pytest.raises(ResourceError):  # before any entry is added
+        table.grow(MAX_PARTITION_N + 1)
+    assert table.n_max == 300
 
 
 def test_pentagonal_sequence():

@@ -4,10 +4,12 @@ import pytest
 from mpmath import mp, mpf
 
 from cancelsum import (DegreeMismatchError, DomainError, IntegerPolynomial,
-                       PTEPair, coefficient_bound_check, construct_pair,
+                       PTEPair, ResourceError, coefficient_bound_check, construct_pair,
                        detect_degree, empirical_constant, f_r_exact,
                        integer_root, k_regime, lemma_bound, lemma_sum,
                        pigeonhole_c, power_sum_diff, verify_pte_bound)
+from cancelsum.oscsum import MAX_INDEX_RANGE
+from cancelsum.pte import MAX_POWER
 
 
 def f_r_oracle(M: int, r: int) -> int:
@@ -73,6 +75,8 @@ def test_constructor_validation():
         construct_pair(1, 1)
     with pytest.raises(DomainError):
         construct_pair(5, 0)
+    with pytest.raises(ResourceError):  # before any list is built
+        construct_pair(MAX_INDEX_RANGE + 1, 1)
 
 
 def test_pair_structure():
@@ -150,6 +154,8 @@ def test_verify_bound_validation():
     pair = construct_pair(100, 1)
     with pytest.raises(DomainError):
         verify_pte_bound(pair, 0)
+    with pytest.raises(ResourceError):
+        verify_pte_bound(pair, MAX_POWER + 1)
     with pytest.raises(DomainError):
         empirical_constant([])
 
@@ -224,6 +230,8 @@ def test_interpolant_out_of_sample():
 def test_detect_degree_validation():
     with pytest.raises(DomainError):
         detect_degree(0)
+    with pytest.raises(ResourceError):
+        detect_degree(MAX_POWER + 1)
 
 
 def test_coefficient_bounds():
