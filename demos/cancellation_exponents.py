@@ -11,11 +11,12 @@ and fits the empirical exponent.
 from cancelsum import (alternating_sum, bound_main1, context_for,
                        empirical_exponent, maximize_delta, pentagonal_form,
                        rademacher_kernel)
-from cancelsum.partition import GROWTH_P1
+from cancelsum.partition import growth_p1
 from fractions import Fraction
 
 kernel = rademacher_kernel("p2")
 q = pentagonal_form()
+c = float(growth_p1())  # the rate of p2, for the printed exponents
 
 alpha_star, w = maximize_delta(Fraction(3, 2), kernel.growth)
 print("Delta maximizer alpha* = %.6f, w = %.6f" % (alpha_star, w))
@@ -24,7 +25,7 @@ print("%8s %10s %14s %14s %10s" % ("x", "terms", "|S|", "bound", "ratio"))
 
 samples = []
 for x in range(500, 4001, 500):
-    ctx = context_for(x, GROWTH_P1)
+    ctx = context_for(x, kernel.growth)
     bound = bound_main1(Fraction(3, 2), kernel.growth, x, ctx)
     rep = alternating_sum(kernel, q, x, ctx, predicted_bound=bound)
     samples.append((float(x), rep.abs_value))
@@ -35,6 +36,6 @@ for x in range(500, 4001, 500):
 w_hat, intercept, rms = empirical_exponent(samples)
 print()
 print("fit |S| ~ e^{w sqrt(x)}: w_hat = %.4f (theory caps it at w*c = %.4f)"
-      % (w_hat, float(w) * GROWTH_P1))
+      % (w_hat, float(w) * c))
 print("largest summand at x=4000 is ~e^{c sqrt(x)} = e^{%.1f};"
-      " the sum itself stays O(1)" % (GROWTH_P1 * 4000 ** 0.5))
+      " the sum itself stays O(1)" % (c * 4000 ** 0.5))

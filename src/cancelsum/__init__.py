@@ -15,7 +15,7 @@ from .errors import (CancelsumError, DegenerateFitError, DegreeMismatchError,
                      DomainError, EmptyRangeError, PrecisionError,
                      QuadratureError, ResourceError)
 from .numerics import (PrecisionContext, bessel_i, complex_sqrt_principal,
-                       context_for, nstr_for_bits, required_bits,
+                       context_for, nstr_for_bits, rate_value, required_bits,
                        to_fraction_exact, to_mpf_exact)
 from .partition import (ExactPartitionTable, p1, p2, p3, p4, partition_exact,
                         pentagonal, pnt_checksum)
@@ -33,8 +33,8 @@ from .pte import (IntegerPolynomial, PTEPair, PTERow, coefficient_bound_check,
                   construct_pair, detect_degree, empirical_constant,
                   f_r_exact, integer_root, k_regime, lemma_bound, lemma_sum,
                   pigeonhole_c, power_sum_diff, verify_pte_bound)
-from .contour import (IntegrandDescriptor, QuadratureResult, RectContour,
-                      ResidueReport, build_contour, gauss_legendre_nodes,
+from .contour import (QuadratureResult, RectContour, ResidueReport,
+                      build_contour, gauss_legendre_nodes,
                       integrate_rectangle, kernel_integrand,
                       residue_identity_check)
 

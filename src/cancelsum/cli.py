@@ -109,11 +109,8 @@ def _float_pair(text: str) -> tuple:
     return float(first), float(second)
 
 
-def _resolve_ctx(bits, x, growth) -> PrecisionContext:
-    if bits is None:
-        g = growth() if callable(growth) else growth
-        return context_for(x, float(g) if g else 0.0)
-    return PrecisionContext(bits=bits)
+def _resolve_ctx(bits, x, rate) -> PrecisionContext:
+    return context_for(x, rate) if bits is None else PrecisionContext(bits=bits)
 
 
 def _form_from(args) -> oscsum.QuadraticForm:
@@ -228,7 +225,7 @@ def cmd_bound(args) -> int:
 
 def cmd_psi_sum(args) -> int:
     x, T = args.x, args.T
-    ctx = _resolve_ctx(args.bits, x, 0.0)
+    ctx = _resolve_ctx(args.bits, x, 0)
     sieve = _sieve_for(primes.sieve_limit(x), args.sieve_cache)
     report = primes.psi_weak_pentagonal(x, T, sieve, ctx, method=args.method)
     row = report.to_json_dict()
@@ -240,7 +237,7 @@ def cmd_psi_sum(args) -> int:
 
 def cmd_psi_half(args) -> int:
     x, T = args.x, args.T
-    ctx = _resolve_ctx(args.bits, x, 0.0)
+    ctx = _resolve_ctx(args.bits, x, 0)
     sieve = _sieve_for(primes.sieve_limit(x), args.sieve_cache)
     report = primes.psi_interval_half(x, T, sieve, ctx)
     row = {"x": str(x), "T": str(T)}
@@ -259,8 +256,9 @@ def cmd_pte_construct(args) -> int:
 
 
 def cmd_pte_verify(args) -> int:
-    pair = pte.construct_pair(args.n, args.m)
     r_max = args.r_max if args.r_max is not None else pte.k_regime(args.n, args.m)
+    pte.check_power_sum_budget(args.n, r_max)  # before any work
+    pair = pte.construct_pair(args.n, args.m)
     rows = [row.to_json_dict() for row in pte.verify_pte_bound(pair, r_max)]
     _emit(rows, ["r", "diff", "bound", "ratio", "within_regime"], args.format)
     return 0
@@ -287,7 +285,7 @@ def cmd_frm_degree(args) -> int:
 
 def cmd_lemma_sum(args) -> int:
     x, T, k, u = args.x, args.T, args.k, args.u
-    ctx = _resolve_ctx(args.bits, x, 0.0)
+    ctx = _resolve_ctx(args.bits, x, 0)
     value = pte.lemma_sum(x, T, k, ctx)
     exact = k % 2 == 0
     text = str(value) if exact else nstr_for_bits(value, ctx.bits)
@@ -365,11 +363,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cancelsum", description="high-cancellation sum toolkit")
+    parser = _Parser(prog="cancelsum", description="high-cancellation sum toolkit",
+                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, run, precision=False, sieve_cache=False):
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.set_defaults(run=run)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if precision:

@@ -11,6 +11,16 @@ with q(n) < x and staying strictly inside the branch points of
 sqrt(x - q(z)).  The residue of csc at an integer n is (-1)^n / pi,
 hence the pi factor in the integrand.
 
+The kernel's continuation takes its cut where x - q(z) is real and
+<= 0.  Writing z = s + i t, Im(x - q(z)) = -t (2 a s + b), which
+vanishes only on the real axis (t = 0) and on the vertex line
+s = -b / (2a).  On the real axis the rectangle spans [x_left, x_right];
+build_contour requires r_lo < x_left and x_right < r_hi for the real
+roots r_lo < r_hi of q = x, so q(s) < x there.  On the vertex line
+Re(x - q(z)) = x - min q + a t^2 > 0 because a > 0 and q has two real
+roots.  So x - q(z) stays off the cut on the whole closed rectangle,
+not only at the quadrature nodes, and no node needs a check.
+
 Vertical legs sit at half-integer abscissae when the gap between the
 outermost enclosed pole and the branch point allows it, else at the
 gap midpoint.  Quadrature is per-leg adaptive composite Gauss-Legendre
@@ -24,7 +34,7 @@ tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from mpmath import mp, mpc, mpf
 
@@ -37,6 +47,8 @@ MAX_REFINEMENT_LEVELS = 20
 MAX_INITIAL_PANELS = 200_000  # per leg; each panel costs 32 evaluations
 
 _node_cache: dict[tuple[int, int], tuple] = {}
+
+Integrand = Callable[[mpc], mpc]
 
 
 def gauss_legendre_nodes(npts: int) -> tuple:
@@ -113,31 +125,31 @@ def build_contour(q: QuadraticForm, x, u, ctx: PrecisionContext) -> RectContour:
     """Place the rectangle for sqrt(x - q(z)): vertical legs in the gap
     between the outermost enclosed pole and the branch point, at the
     half-integer inside the gap when there is one, else the gap
-    midpoint; horizontal legs at +- u sqrt(x)."""
+    midpoint; horizontal legs at +- u sqrt(x).  QuadratureError when a
+    vertical leg does not lie strictly inside the branch points at the
+    working precision, which keeps the rectangle off the cut (see the
+    module docstring)."""
     with ctx.workprec():
         uv = to_mpf_exact(u)
         if uv <= 0:
             raise DomainError("contour height factor u must be positive")
         xv = to_mpf_exact(x)
+        if xv <= 0:
+            raise DomainError("contour height u sqrt(x) needs x > 0")
         r_lo, r_hi = q.roots_at(x)
         lo, hi = q.index_range(x)
         cand = mpf(lo) - mpf(1) / 2
         xl = cand if cand > r_lo else (r_lo + lo) / 2
         cand = mpf(hi) + mpf(1) / 2
         xr = cand if cand < r_hi else (r_hi + hi) / 2
+        if not (r_lo < xl and xr < r_hi):
+            raise QuadratureError(
+                "vertical legs at %s and %s do not lie strictly inside the "
+                "branch points %s and %s" % (mp.nstr(xl, 12), mp.nstr(xr, 12),
+                                             mp.nstr(r_lo, 12), mp.nstr(r_hi, 12)))
         height = uv * mp.sqrt(xv)
         return RectContour(x_half_width=(xr - xl) / 2, height_u=height,
                            shift=(xr + xl) / 2)
-
-
-@dataclass(frozen=True)
-class IntegrandDescriptor:
-    """func evaluates the integrand at a complex point; cut_func, when
-    set, returns the radicand x - q(z) so panel nodes can verify the
-    leg stays off the branch cut (negative real axis)."""
-
-    func: Callable[[mpc], mpc]
-    cut_func: Optional[Callable[[mpc], mpc]] = None
 
 
 @dataclass(frozen=True)
@@ -152,27 +164,17 @@ class QuadratureResult:
         return tuple(abs(v) for v in self.leg_values)
 
 
-def _check_cut(cut_func, z: mpc) -> None:
-    w = cut_func(z)
-    if w.imag == 0 and w.real <= 0:
-        raise QuadratureError("leg touches the branch cut at z = %s (x - q(z) = %s)"
-                              % (mp.nstr(z, 12), mp.nstr(w, 12)))
-
-
-def _panel(H: IntegrandDescriptor, za: mpc, zb: mpc) -> mpc:
+def _panel(f: Integrand, za: mpc, zb: mpc) -> mpc:
     """The 32-point Gauss-Legendre value of one panel."""
     mid = (za + zb) / 2
     half = (zb - za) / 2
     s = mpc(0)
     for t, w in gauss_legendre_nodes(32):
-        z = mid + half * t
-        if H.cut_func is not None:
-            _check_cut(H.cut_func, z)
-        s += w * H.func(z)
+        s += w * f(mid + half * t)
     return half * s
 
 
-def _leg_integral(H: IntegrandDescriptor, z0: mpc, z1: mpc, tol: mpf,
+def _leg_integral(f: Integrand, z0: mpc, z1: mpc, tol: mpf,
                   scale_hint: mpf) -> tuple:
     """Adaptive refinement sweeps; converged when two successive sweep
     totals agree to tol relative.  A sweep splits the panels whose
@@ -187,7 +189,7 @@ def _leg_integral(H: IntegrandDescriptor, z0: mpc, z1: mpc, tol: mpf,
     panels = []
     for i in range(n0):
         za, zb = z0 + step * i, z0 + step * (i + 1)
-        panels.append((za, zb, _panel(H, za, zb), None))
+        panels.append((za, zb, _panel(f, za, zb), None))
     evals = 32 * n0
     floor = scale_hint * mpf(2) ** (16 - mp.prec)
     s_prev = None
@@ -210,7 +212,7 @@ def _leg_integral(H: IntegrandDescriptor, z0: mpc, z1: mpc, tol: mpf,
                 refined.append((za, zb, val, err))
                 continue
             zm = (za + zb) / 2
-            left, right = _panel(H, za, zm), _panel(H, zm, zb)
+            left, right = _panel(f, za, zm), _panel(f, zm, zb)
             err = abs(val - (left + right))
             refined.append((za, zm, left, err))
             refined.append((zm, zb, right, err))
@@ -220,7 +222,7 @@ def _leg_integral(H: IntegrandDescriptor, z0: mpc, z1: mpc, tol: mpf,
                           % MAX_REFINEMENT_LEVELS)
 
 
-def integrate_rectangle(H: IntegrandDescriptor, contour: RectContour,
+def integrate_rectangle(f: Integrand, contour: RectContour,
                         ctx: PrecisionContext, tol) -> QuadratureResult:
     """Counterclockwise sum of the four leg integrals; pole clearance is
     prechecked in closed form: |sin(pi z)| on a vertical leg at abscissa
@@ -242,7 +244,7 @@ def integrate_rectangle(H: IntegrandDescriptor, contour: RectContour,
         evals = 0
         hint = mpf(0)
         for z0, z1 in contour.legs():
-            value, n, level = _leg_integral(H, z0, z1, tol_v, hint)
+            value, n, level = _leg_integral(f, z0, z1, tol_v, hint)
             leg_values.append(value)
             levels.append(level)
             evals += n
@@ -279,22 +281,19 @@ class ResidueReport:
 
 
 def kernel_integrand(kernel: KernelSpec, q: QuadraticForm, x,
-                     ctx: PrecisionContext) -> IntegrandDescriptor:
-    """pi K(x - q(z)) / sin(pi z) with the radicand exposed for
-    branch-cut node checks.  The constants are rounded once, at the
-    working precision every quadrature evaluation runs at."""
+                     ctx: PrecisionContext) -> Integrand:
+    """z -> pi K(x - q(z)) / sin(pi z), to be called inside
+    ctx.workprec().  x, the coefficients of q, pi and the kernel's
+    constants are rounded once, at the working precision every
+    quadrature evaluation runs at."""
+    if kernel.bind_complex is None:
+        raise DomainError("kernel family %r has no complex continuation" % (kernel.family,))
     with ctx.workprec():
         xv = to_mpf_exact(x)
         a, b, d = to_mpf_exact(q.a), to_mpf_exact(q.b), to_mpf_exact(q.d)
-
-    def radicand(z: mpc) -> mpc:
-        return xv - (a * z * z + b * z + d)
-
-    def func(z: mpc) -> mpc:
-        w = radicand(z)
-        return mp.pi * kernel.evaluate_complex(w, ctx) / mp.sin(mp.pi * z)
-
-    return IntegrandDescriptor(func=func, cut_func=radicand)
+        pi = +mp.pi
+        K = kernel.bind_complex(ctx)
+    return lambda z: pi * K(xv - (a * z * z + b * z + d)) / mp.sin(pi * z)
 
 
 def residue_identity_check(kernel: KernelSpec, q: QuadraticForm, x, u,
@@ -304,8 +303,7 @@ def residue_identity_check(kernel: KernelSpec, q: QuadraticForm, x, u,
     relative gap.  The identity is exact, so rel_err measures only the
     quadrature."""
     contour = build_contour(q, x, u, ctx)
-    H = kernel_integrand(kernel, q, x, ctx)
-    quad = integrate_rectangle(H, contour, ctx, tol)
+    quad = integrate_rectangle(kernel_integrand(kernel, q, x, ctx), contour, ctx, tol)
     report: SumReport = alternating_sum(kernel, q, x, ctx)
     with ctx.workprec():
         discrete = 2j * mp.pi * report.value

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_rational
 
 from .errors import DomainError, ResourceError
 
@@ -65,15 +66,27 @@ def context_for(x, c) -> PrecisionContext:
 def required_bits(x, c) -> int:
     """Policy bits for a sum whose largest term is about e^{c*sqrt(x)}.
 
-    required_bits(0, 1) = 128, required_bits(100, pi*sqrt(2/3)) = 134.
+    c is a growth rate (see rate_value).  The policy reads it as a
+    double, so every caller passing the same rate gets the same bits.
+
+    required_bits(0, 1) = 128, required_bits(100, growth_p1) = 134.
     """
     xf = to_fraction_exact(x)
-    cf = to_fraction_exact(c)
+    with mp.workprec(53):
+        cf = to_fraction_exact(rate_value(c))
     if xf < 0 or cf < 0:
         raise DomainError("required_bits needs x >= 0 and c >= 0")
     with mp.workprec(80):
         needed = mp.ceil(to_mpf_exact(cf) * mp.sqrt(to_mpf_exact(xf)) / mp.ln(2))
     return max(128, int(needed) + 96)
+
+
+def rate_value(c) -> mpf:
+    """A growth rate at the current working precision.  A rate is an
+    exact number (int, Fraction, decimal string, mpf) or a zero-argument
+    callable that returns the constant at the working precision, such
+    as partition.growth_p1."""
+    return c() if callable(c) else to_mpf_exact(c)
 
 
 def bessel_i(alpha: int, z, ctx: PrecisionContext) -> mpf:
@@ -120,14 +133,14 @@ def complex_sqrt_principal(w) -> mpc:
 
 def to_mpf_exact(value) -> mpf:
     """Convert int/Fraction/str/mpf to mpf at the current working
-    precision with a single correct rounding (Fractions via one big-int
-    division rather than a float round-trip)."""
+    precision with a single correct rounding (Fractions by one exact
+    big-int division, rounded once, never a float round-trip)."""
     if isinstance(value, (int, mpf)):
         return mpf(value)
     num = getattr(value, "numerator", None)
     den = getattr(value, "denominator", None)
     if num is not None and den is not None:
-        return mpf(num) / mpf(den)
+        return mp.make_mpf(from_rational(num, den, mp.prec, "n"))
     return mpf(value)
 
 

@@ -33,7 +33,8 @@ from mpmath import mp, mpc, mpf
 from . import partition
 from .errors import (DegenerateFitError, DomainError, EmptyRangeError, PrecisionError,
                      ResourceError)
-from .numerics import (PrecisionContext, complex_sqrt_principal, nstr_for_bits,
+from .numerics import (PrecisionContext, bessel_i, complex_sqrt_principal,
+                       nstr_for_bits, rate_value, required_bits,
                        to_fraction_exact as _to_fraction, to_mpf_exact)
 
 Rational = Union[int, Fraction]
@@ -113,10 +114,11 @@ def square_form(T: Rational = 1) -> QuadraticForm:
 
 
 _RADEMACHER = {
-    "p1": (partition.p1, partition.GROWTH_P1),
-    "p2": (partition.p2, partition.GROWTH_P1),
-    "p3": (partition.p3, partition.GROWTH_P3),
-    "p4": (partition.p4, partition.GROWTH_P1),
+    "p1": (partition.p1, partition.growth_p1),
+    "p2": (partition.p2, partition.growth_p1),
+    "p3": (partition.p3, partition.growth_p3),
+    "p4": (partition.p4, partition.growth_p1),
+    "sqrt_p1": (lambda y, ctx: mp.sqrt(partition.p1(y, ctx)), partition.growth_p3),
 }
 
 
@@ -124,94 +126,82 @@ _RADEMACHER = {
 class KernelSpec:
     """A named kernel family.
 
-    `growth` is the constant c in kernel(y) ~ e^{c sqrt(y)}, consumed by
-    the precision policy.  `real_eval`/`complex_eval` evaluate the kernel
-    at a nonnegative rational y, respectively at a complex point
-    w = x - q(z) during contour checks (None when the family has no
-    complex continuation wired up).
+    `growth` is the rate c in kernel(y) ~ e^{c sqrt(y)} as given: an int,
+    a Fraction or a growth callable (numerics.rate_value).  The precision
+    policy and the predicted bound both read this one value.
+
+    `bind_real` and `bind_complex` bind the kernel to a context.  Called
+    inside ctx.workprec(), each rounds the kernel's constants once and
+    returns a function that runs at that precision: y -> K(y) at a
+    nonnegative rational y, respectively w -> K(w) at a complex point
+    w = x - q(z) during contour checks.  bind_complex is None when the
+    family has no complex continuation wired up.
     """
 
     family: str
-    real_eval: Callable[[object, PrecisionContext], object]
-    growth: float
-    complex_eval: Optional[Callable[[mpc, PrecisionContext], mpc]] = None
+    growth: object
+    bind_real: Callable[[PrecisionContext], Callable]
+    bind_complex: Optional[Callable[[PrecisionContext], Callable]] = None
 
-    def evaluate(self, y, ctx: PrecisionContext):
-        return self.real_eval(y, ctx)
 
-    def evaluate_complex(self, w: mpc, ctx: PrecisionContext) -> mpc:
-        if self.complex_eval is None:
-            raise DomainError("kernel family %r has no complex continuation" % (self.family,))
-        return self.complex_eval(w, ctx)
+def _exp_sqrt_family(family: str, growth, exponent) -> KernelSpec:
+    """kernel(y) = e^{s sqrt(y)}, s = exponent() at the working precision;
+    the continuation takes the principal square root."""
+    def bind_real(ctx):
+        s = exponent()
+        return lambda y: mp.exp(s * mp.sqrt(to_mpf_exact(y)))
+
+    def bind_complex(ctx):
+        s = exponent()
+        return lambda w: mp.exp(s * complex_sqrt_principal(w))
+
+    return KernelSpec(family, growth, bind_real, bind_complex)
 
 
 def exp_sqrt_kernel(c) -> KernelSpec:
-    """kernel(y) = e^{c sqrt(y)}; c may be a number, decimal string, or a
-    zero-argument callable producing an mpf at working precision."""
-    c_value = _growth_value(c)
-    if c_value <= 0:
+    """kernel(y) = e^{c sqrt(y)} for a growth rate c > 0: a number,
+    decimal string, or a zero-argument callable producing an mpf at
+    working precision."""
+    if rate_value(c) <= 0:
         raise DomainError("exp_sqrt needs c > 0")
-
-    def real_eval(y, ctx):
-        with ctx.workprec():
-            return mp.exp(_resolve(c) * mp.sqrt(to_mpf_exact(y)))
-
-    def complex_eval(w, ctx):
-        with ctx.workprec():
-            return mp.exp(_resolve(c) * complex_sqrt_principal(w))
-
-    return KernelSpec("exp_sqrt", real_eval, c_value, complex_eval)
+    return _exp_sqrt_family("exp_sqrt", c, lambda: rate_value(c))
 
 
 def rademacher_kernel(name: str) -> KernelSpec:
     """Truncated Hardy-Ramanujan-Rademacher kernels p1, p2, p3, p4 and
     the square-root variant sqrt_p1."""
-    if name == "sqrt_p1":
-        def real_eval(y, ctx):
-            with ctx.workprec():
-                return mp.sqrt(partition.p1(y, ctx))
-        return KernelSpec("rademacher", real_eval, partition.GROWTH_P3)
     if name not in _RADEMACHER:
         raise DomainError("unknown rademacher kernel %r" % (name,))
     func, growth = _RADEMACHER[name]
-
-    def real_eval(y, ctx):
-        return func(y, ctx)
-
-    return KernelSpec("rademacher", real_eval, growth)
+    return KernelSpec("rademacher", growth, lambda ctx: lambda y: func(y, ctx))
 
 
 def bessel_kernel(alpha: int, c) -> KernelSpec:
     """kernel(y) = I_alpha(c sqrt(y))."""
-    from .numerics import bessel_i
-
-    c_value = _growth_value(c)
-    if c_value <= 0:
+    if rate_value(c) <= 0:
         raise DomainError("bessel kernel needs c > 0")
 
-    def real_eval(y, ctx):
-        with ctx.workprec():
-            return bessel_i(alpha, _resolve(c) * mp.sqrt(to_mpf_exact(y)), ctx)
+    def bind_real(ctx):
+        cv = rate_value(c)
+        return lambda y: bessel_i(alpha, cv * mp.sqrt(to_mpf_exact(y)), ctx)
 
-    return KernelSpec("bessel", real_eval, c_value)
+    return KernelSpec("bessel", c, bind_real)
 
 
 def power_kernel(k_half) -> KernelSpec:
     """kernel(y) = y^{k/2}; polynomially bounded (growth constant 0)."""
     exponent = Fraction(k_half)
 
-    def real_eval(y, ctx):
-        with ctx.workprec():
-            yy = to_mpf_exact(y)
-            if yy == 0:
-                return mpf(0) if exponent > 0 else mpf(1)
-            return yy ** to_mpf_exact(exponent)
+    def bind_real(ctx):
+        e = to_mpf_exact(exponent)
+        zero = mpf(0) if exponent > 0 else mpf(1)
+        return lambda y: zero if y == 0 else to_mpf_exact(y) ** e
 
-    def complex_eval(w, ctx):
-        with ctx.workprec():
-            return mpc(w) ** to_mpf_exact(exponent)
+    def bind_complex(ctx):
+        e = to_mpf_exact(exponent)
+        return lambda w: mpc(w) ** e
 
-    return KernelSpec("power", real_eval, 0.0, complex_eval)
+    return KernelSpec("power", 0, bind_real, bind_complex)
 
 
 def complex_exp_kernel(alpha, beta, T) -> KernelSpec:
@@ -226,29 +216,8 @@ def complex_exp_kernel(alpha, beta, T) -> KernelSpec:
         raise DomainError("complex_exp needs T > 0")
     if beta_f * beta_f > T_f:
         raise DomainError("complex_exp needs |beta| <= sqrt(T)")
-
-    def real_eval(y, ctx):
-        with ctx.workprec():
-            root = mp.sqrt(to_mpf_exact(y))
-            return mp.exp(mpc(to_mpf_exact(alpha_f), to_mpf_exact(beta_f)) * root)
-
-    def complex_eval(w, ctx):
-        with ctx.workprec():
-            root = complex_sqrt_principal(w)
-            return mp.exp(mpc(to_mpf_exact(alpha_f), to_mpf_exact(beta_f)) * root)
-
-    return KernelSpec("complex_exp", real_eval, float(alpha_f), complex_eval)
-
-
-def _resolve(c) -> mpf:
-    if callable(c):
-        return c()
-    return to_mpf_exact(c)
-
-
-def _growth_value(c) -> float:
-    with mp.workprec(64):
-        return float(_resolve(c))
+    return _exp_sqrt_family("complex_exp", alpha_f,
+                            lambda: mpc(to_mpf_exact(alpha_f), to_mpf_exact(beta_f)))
 
 
 @dataclass
@@ -305,20 +274,17 @@ def alternating_sum(kernel: KernelSpec, q: QuadraticForm, x, ctx: PrecisionConte
     kernel's growth constant exceeds ctx.bits, and EmptyRangeError when
     no index satisfies the constraint.
     """
-    from .numerics import required_bits
-
     need = required_bits(x, kernel.growth)
     if need > ctx.bits:
-        raise PrecisionError(
-            "sum at x=%s with growth c=%.6g needs %d bits, context has %d"
-            % (x, kernel.growth, need, ctx.bits))
+        raise PrecisionError("sum at x=%s of a %s kernel needs %d bits, context has %d"
+                             % (x, kernel.family, need, ctx.bits))
     lo, hi = q.index_range(x)
     x_frac = _to_fraction(x)
     with ctx.workprec():
+        K = kernel.bind_real(ctx)
         total = mpc(0)
         for n in _interleaved(lo, hi):
-            y = x_frac - q.evaluate(n)
-            term = mpc(kernel.evaluate(y, ctx))
+            term = mpc(K(x_frac - q.evaluate(n)))
             total = total + term if n % 2 == 0 else total - term
         abs_value = abs(total)
         bound_v = None
@@ -334,7 +300,7 @@ def alternating_sum(kernel: KernelSpec, q: QuadraticForm, x, ctx: PrecisionConte
 def delta(r, a, c) -> mpf:
     """Delta(r) = sqrt(sqrt(a) r (sqrt(a r^2 + 4) + r sqrt(a)) / 2) - pi r / c."""
     with mp.workprec(192):
-        rr, aa, cc = _resolve(r), _resolve(a), _resolve(c)
+        rr, aa, cc = to_mpf_exact(r), to_mpf_exact(a), rate_value(c)
         if rr < 0:
             raise DomainError("delta needs r >= 0")
         if aa <= 0 or cc <= 0:
@@ -365,7 +331,7 @@ def maximize_delta(a, c) -> tuple[mpf, mpf]:
     Computed at the current working precision, never below 192 bits.
     """
     with mp.workprec(max(mp.prec, 192)):
-        aa, cc = _resolve(a), _resolve(c)
+        aa, cc = to_mpf_exact(a), rate_value(c)
         if aa <= 0 or cc <= 0:
             raise DomainError("maximize_delta needs a, c > 0")
         sa, pi2, ac2 = mp.sqrt(aa), mp.pi ** 2, aa * cc * cc
@@ -389,18 +355,18 @@ def bound_main1(a, c, x, ctx: PrecisionContext) -> mpf:
     with ctx.workprec():
         _, w = maximize_delta(a, c)
         sx = mp.sqrt(to_mpf_exact(_to_fraction(x)))
-        return sx * mp.exp(w * _resolve(c) * sx)
+        return sx * mp.exp(w * rate_value(c) * sx)
 
 
 def bound_main2(alpha, beta, T, x, delta_slack) -> mpf:
     """sqrt(T/(|beta|+1)) e^{alpha (sqrt(2/(2+pi^2)) + delta) sqrt(x)} + sqrt(T)."""
     with mp.workprec(192):
-        slack = _resolve(delta_slack)
+        slack = to_mpf_exact(delta_slack)
         if slack <= 0:
             raise DomainError("bound_main2 needs delta_slack > 0")
         Tf = to_mpf_exact(_to_fraction(T))
-        af = _resolve(alpha)
-        bf = abs(_resolve(beta))
+        af = to_mpf_exact(alpha)
+        bf = abs(to_mpf_exact(beta))
         base = mp.sqrt(2 / (2 + mp.pi ** 2)) + slack
         sx = mp.sqrt(to_mpf_exact(_to_fraction(x)))
         return mp.sqrt(Tf / (bf + 1)) * mp.exp(af * base * sx) + mp.sqrt(Tf)
@@ -421,7 +387,7 @@ def empirical_exponent(samples) -> tuple[float, float, float]:
     logs = []
     with mp.workprec(128):
         for x, abs_value in pts:
-            av = abs_value if isinstance(abs_value, mpf) else _resolve(abs_value)
+            av = abs_value if isinstance(abs_value, mpf) else to_mpf_exact(abs_value)
             if av <= 0:
                 raise DomainError("empirical_exponent needs abs_value > 0")
             roots.append(float(mp.sqrt(to_mpf_exact(_to_fraction(x)))))

@@ -15,7 +15,6 @@ truncations of the Hardy-Ramanujan-Rademacher series.
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Sequence
 
@@ -24,10 +23,6 @@ from mpmath import mp, mpf
 from .errors import DomainError, ResourceError
 from .numerics import PrecisionContext
 
-# growth constants c in kernel ~ e^{c*sqrt(y)}, consumed by the precision policy
-GROWTH_P1 = math.pi * math.sqrt(2.0 / 3.0)  # p1, p2, p4
-GROWTH_P3 = math.pi / math.sqrt(6.0)  # p3 and sqrt(p1)
-
 # Largest n of an exact table; the largest in use is 10,101 (pnt-verify in
 # the cli-mix benchmark); pnt-verify at the cap takes about 40 s (CPython
 # 3.11, one core).
@@ -35,12 +30,14 @@ MAX_PARTITION_N = 100_000
 
 
 def growth_p1() -> mpf:
-    """pi sqrt(2/3) at the current working precision."""
+    """The growth rate c of p1, p2 and p4 (kernel ~ e^{c sqrt(y)}):
+    pi sqrt(2/3) at the current working precision."""
     return mp.pi * mp.sqrt(mpf(2) / 3)
 
 
 def growth_p3() -> mpf:
-    """pi / sqrt(6) at the current working precision."""
+    """The growth rate of p3 and sqrt(p1): pi / sqrt(6) at the current
+    working precision."""
     return mp.pi / mp.sqrt(mpf(6))
 
 

@@ -32,19 +32,31 @@ from .oscsum import MAX_INDEX_RANGE, square_form
 # 3.11, one core).
 MAX_POWER = 64
 
+# Largest m of a pair; the largest in use is 2; pte-construct at this cap
+# and n = MAX_INDEX_RANGE takes about 0.4 s and 190 MB (CPython 3.11).
+MAX_PAIR_M = 8
+
+# Largest n * r_max of a power-sum table: n powers for each r <= r_max.
+# The largest in use is about 420 (pte-verify --n 105 --m 1); at this cap
+# and the m cap, pte-verify --n 1562 --m 8 --r-max 64 takes about 4 s
+# (CPython 3.11, one core).
+MAX_POWER_SUM_TERMS = 100_000
+
 
 def integer_root(k: int, value: int) -> int:
-    """Largest r >= 0 with r^k <= value (exact)."""
+    """Largest r >= 0 with r^k <= value, exact for any size: integer
+    Newton steps from 2^ceil(bits/k), which is above the root, fall
+    monotonically onto it."""
     if value < 0 or k < 1:
         raise DomainError("integer_root needs value >= 0 and k >= 1")
-    if value == 0:
-        return 0
-    r = int(round(value ** (1.0 / k)))
-    while r > 0 and r ** k > value:
-        r -= 1
-    while (r + 1) ** k <= value:
-        r += 1
-    return r
+    if value < 2:
+        return value
+    r = 1 << -(-value.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + value // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 @dataclass(frozen=True)
@@ -68,6 +80,8 @@ def construct_pair(n: int, m: int) -> PTEPair:
         raise DomainError("construct_pair needs n >= 2 and m >= 1")
     if n > MAX_INDEX_RANGE:  # the largest n in use is about 105
         raise ResourceError("n = %d exceeds budget %d" % (n, MAX_INDEX_RANGE))
+    if m > MAX_PAIR_M:
+        raise ResourceError("m = %d exceeds budget %d" % (m, MAX_PAIR_M))
     N = integer_root(2 * m + 1, (2 * n) ** (2 * m))
     power = N ** (2 * m + 1)
     adjusted = False
@@ -114,14 +128,24 @@ class PTERow:
         }
 
 
+def check_power_sum_budget(n: int, r_max: int) -> None:
+    """ResourceError when verify_pte_bound's table of n powers for each
+    r <= r_max exceeds MAX_POWER or MAX_POWER_SUM_TERMS; it needs only
+    the sizes, so callers can run it before any work."""
+    if r_max > MAX_POWER:
+        raise ResourceError("r = %d exceeds budget %d" % (r_max, MAX_POWER))
+    if n * r_max > MAX_POWER_SUM_TERMS:
+        raise ResourceError("n * r_max = %d exceeds budget %d"
+                            % (n * r_max, MAX_POWER_SUM_TERMS))
+
+
 def verify_pte_bound(pair: PTEPair, r_max: int) -> list[PTERow]:
     """For each 1 <= r <= r_max: the exact difference, the reference
     bound N^{r(2m+1/2)}, and their ratio.  Rows beyond the k regime are
     flagged; the max ratio over in-regime rows is the empirical constant."""
     if r_max < 1:
         raise DomainError("verify_pte_bound needs r_max >= 1")
-    if r_max > MAX_POWER:
-        raise ResourceError("r = %d exceeds budget %d" % (r_max, MAX_POWER))
+    check_power_sum_budget(pair.n, r_max)
     k = k_regime(pair.n, pair.m)
     rows = []
     bits = max(128, int(r_max * (2 * pair.m + 1) * math.log2(max(pair.N, 2))) + 64)

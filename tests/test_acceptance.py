@@ -20,7 +20,7 @@ from cancelsum import (ExactPartitionTable, PrecisionContext, alternating_sum,
                        pnt_checksum, psi_interval_half, psi_weak_pentagonal,
                        rademacher_kernel, residue_identity_check, square_form,
                        verify_pte_bound)
-from cancelsum.partition import GROWTH_P1, growth_p1, growth_p3
+from cancelsum.partition import growth_p1, growth_p3
 from cancelsum.primes import sieve_limit
 
 
@@ -87,7 +87,7 @@ def test_criterion_05_p4_asymptotic_ratio():
     ratios = {}
     for x in (5000, 10000, 20000):
         p = partition_exact(x)
-        ctx = context_for(x, GROWTH_P1)
+        ctx = context_for(x, growth_p1)
         rep = alternating_sum(kernel, q, x, ctx)
         with ctx.workprec():
             lead = mpf(2) ** mpf("-0.75") * mpf(x) ** mpf("-0.25") * mp.sqrt(mpf(p))

@@ -125,6 +125,12 @@ def test_resource_error_exit_3(capsys):
     # exclusive alternatives
     ["osc-sum", "--x", "10", "--x-grid", "10,20"],
     ["frm-degree", "--r", "2", "--r-max", "3"],
+    # a prefix of a flag is not the flag (--x-max, --delta-slack)
+    ["pnt-verify", "--x", "50"],
+    ["bound", "--x", "10", "--del", "1"],
+    # the contour's height u sqrt(x) needs x > 0
+    ["contour-check", "--x", "-19", "--kernel", "exp_sqrt", "--form", "custom",
+     "--a", "1/3", "--b", "5", "--d", "-2", "--bits", "320"],
     pytest.param([], id="no subcommand"),
 ], ids=" ".join)
 def test_bad_input_one_error_line(argv):
@@ -158,11 +164,15 @@ def test_precision_budget_exit_3(argv):
     ["pnt-verify", "--x-max", "1000000"],
     ["frm-degree", "--r-max", "100000"],
     ["pte-verify", "--n", "100", "--m", "1", "--r-max", "100000"],
+    ["pte-verify", "--n", "1000000", "--m", "1", "--r-max", "64"],
+    ["pte-construct", "--n", "100", "--m", "100"],
+    ["pte-verify", "--n", "100", "--m", "200"],
     ["osc-sum", "--kernel", "power", "--x-grid", "lin:100:101:100000000"],
 ], ids=" ".join)
 def test_work_budget_exit_3(argv):
-    # index ranges, initial contour panels, partition tables, powers r and
-    # grid points are capped before any work
+    # index ranges, initial contour panels, partition tables, powers r,
+    # power-sum tables n x r, pair exponents m and grid points are capped
+    # before any work
     assert_one_error_line(run_process(["-m", "cancelsum.cli"] + argv), 3)
 
 
@@ -256,6 +266,21 @@ def test_osc_sum_row(capsys):
     assert abs(float(row["abs"]) - 0.01209285103186) < 1e-11
     # ratio column is recomputable from the row
     assert abs(float(row["ratio"]) - float(row["abs"]) / float(row["bound"])) < 1e-12
+
+
+@pytest.mark.parametrize("kernel,c", [(["--kernel", "p2"], "growth-p1"),
+                                      (["--kernel", "exp_sqrt", "--c", "1/3"], "1/3")],
+                         ids=["p2", "exp_sqrt-c1/3"])
+def test_osc_sum_bound_is_the_bound_command(kernel, c, capsys):
+    # osc-sum's bound comes from the kernel's exact rate, so every printed
+    # digit matches `bound` for the same a and c; the bits do not move
+    code, out, _ = run(["osc-sum", "--x", "1000"] + kernel, capsys)
+    assert code == 0
+    (row,) = rows_of(out)
+    code, out, _ = run(["bound", "--a", "3/2", "--c", c, "--x", "1000"], capsys)
+    assert code == 0
+    assert row["bound"] == rows_of(out)[0]["bound"]
+    assert row["bits"] == {"growth-p1": "214", "1/3": "128"}[c]
 
 
 def test_x_grid_specs(capsys):

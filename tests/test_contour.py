@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
-from cancelsum import (DomainError, IntegrandDescriptor, QuadratureError,
+from cancelsum import (DomainError, QuadraticForm, QuadratureError,
                        RectContour, build_contour, exp_sqrt_kernel,
                        gauss_legendre_nodes, integrate_rectangle,
                        kernel_integrand, maximize_delta, pentagonal_form,
@@ -12,8 +12,8 @@ from cancelsum import (DomainError, IntegrandDescriptor, QuadratureError,
 from cancelsum.partition import growth_p1
 
 
-def csc_descriptor():
-    return IntegrandDescriptor(func=lambda z: 1 / mp.sin(mp.pi * z))
+def csc(z):
+    return 1 / mp.sin(mp.pi * z)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ def test_legs_counterclockwise_closed():
 
 def test_csc_square_residue(ctx192):
     contour = RectContour(x_half_width=mpf("0.6"), height_u=mpf("0.6"))
-    res = integrate_rectangle(csc_descriptor(), contour, ctx192, "1e-30")
+    res = integrate_rectangle(csc, contour, ctx192, "1e-30")
     with ctx192.workprec():
         assert abs(res.value - mpc(0, 2)) < mpf("1e-28")
     assert len(res.leg_values) == 4
@@ -91,9 +91,9 @@ def test_evaluation_counts(ctx320, kernel, q, x, evaluations):
 
 def test_csc_square_height_independent(ctx192):
     tol = mpf("1e-20")
-    low = integrate_rectangle(csc_descriptor(),
+    low = integrate_rectangle(csc,
                               RectContour(mpf("0.6"), mpf("0.6")), ctx192, tol)
-    high = integrate_rectangle(csc_descriptor(),
+    high = integrate_rectangle(csc,
                                RectContour(mpf("0.6"), mpf("1.2")), ctx192, tol)
     with ctx192.workprec():
         assert abs(low.value - high.value) <= 10 * tol * abs(low.value)
@@ -103,22 +103,49 @@ def test_pole_proximity_precheck(ctx192):
     # vertical legs at integer abscissae sit on poles
     contour = RectContour(x_half_width=mpf(1), height_u=mpf(1))
     with pytest.raises(QuadratureError):
-        integrate_rectangle(csc_descriptor(), contour, ctx192, "1e-10")
+        integrate_rectangle(csc, contour, ctx192, "1e-10")
 
 
-def test_branch_cut_node_check(ctx192):
-    # a cut_func pinned to the negative real axis must trip the node check
-    bad = IntegrandDescriptor(func=lambda z: mpc(1),
-                              cut_func=lambda z: mpc(-1, 0))
-    contour = RectContour(x_half_width=mpf("0.4"), height_u=mpf("0.4"))
+class _InnerRightRoot(QuadraticForm):
+    """Reports its right branch point one unit inside the true one."""
+
+    def roots_at(self, x):
+        r_lo, r_hi = super().roots_at(x)
+        return r_lo, r_hi - 1
+
+
+def test_leg_on_or_beyond_branch_point(ctx192):
+    # x = 10^-100 just above q(0) = 0: at 224 bits the left root -2x
+    # rounds onto 0, the enclosed pole, so the left leg lands on it
     with pytest.raises(QuadratureError):
-        integrate_rectangle(bad, contour, ctx192, "1e-10")
+        build_contour(pentagonal_form(), Fraction(1, 10**100), 1, ctx192)
+    # x = 100: the right leg at 49/6 lies beyond a branch point at 22/3
+    with pytest.raises(QuadratureError):
+        build_contour(_InnerRightRoot(Fraction(3, 2), Fraction(-1, 2)), 100, 1, ctx192)
+
+
+def test_off_centre_vertex_forms_pass_the_cut_check(ctx192):
+    # b != 0 moves the vertex line s = -b/(2a) off 0; the legs must still
+    # sit strictly between the branch points and the enclosed poles
+    forms = [QuadraticForm(1, Fraction(3, 5), 0),
+             QuadraticForm(2, Fraction(-7, 3), Fraction(1, 7)),
+             QuadraticForm(Fraction(1, 3), 5, -2),
+             QuadraticForm(Fraction(5, 2), Fraction(9, 4), Fraction(-3, 8))]
+    for q in forms:
+        vertex_min = q.d - q.b * q.b / (4 * q.a)
+        for t in (Fraction(3, 2), 7, 50, 400):
+            x = max(vertex_min, 0) + t
+            c = build_contour(q, x, 1, ctx192)
+            lo, hi = q.index_range(x)
+            with ctx192.workprec():
+                r_lo, r_hi = q.roots_at(x)
+                assert r_lo < c.x_left < lo and hi < c.x_right < r_hi
 
 
 def test_tol_validation(ctx192):
     contour = RectContour(mpf("0.6"), mpf("0.6"))
     with pytest.raises(DomainError):
-        integrate_rectangle(csc_descriptor(), contour, ctx192, 0)
+        integrate_rectangle(csc, contour, ctx192, 0)
 
 
 # ---------------------------------------------------------------------------

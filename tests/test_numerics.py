@@ -8,7 +8,7 @@ from cancelsum import (DomainError, PrecisionContext, ResourceError, bessel_i,
                        complex_sqrt_principal, context_for, nstr_for_bits,
                        required_bits, to_fraction_exact, to_mpf_exact)
 from cancelsum.numerics import MAX_PRECISION_BITS
-from cancelsum.partition import GROWTH_P1
+from cancelsum.partition import growth_p1
 
 # I0(2) to 40 digits, computed once by summing 60 series terms with
 # Fraction arithmetic (sum 1/(j!^2), exact) and converting at the end.
@@ -21,14 +21,14 @@ def test_required_bits_floor():
 
 
 def test_required_bits_frozen_values():
-    assert required_bits(100, GROWTH_P1) == 134
-    assert required_bits(10**4, GROWTH_P1) == 467
+    assert required_bits(100, growth_p1) == 134
+    assert required_bits(10**4, growth_p1) == 467
 
 
 def test_required_bits_monotone():
     prev = 0
     for x in (0, 10, 100, 500, 1000, 5000, 10**4, 10**5):
-        b = required_bits(x, GROWTH_P1)
+        b = required_bits(x, growth_p1)
         assert b >= prev
         prev = b
 
@@ -48,7 +48,7 @@ def test_context_floor_and_guard():
 
 
 def test_context_for_matches_policy():
-    ctx = context_for(10**4, GROWTH_P1)
+    ctx = context_for(10**4, growth_p1)
     assert ctx.bits == 467
 
 

@@ -216,11 +216,12 @@ def test_reordering_invariance():
     rep = alternating_sum(kernel, q, x, ctx)
     lo, hi = q.index_range(x)
     with ctx.workprec():
+        K = kernel.bind_real(ctx)
         ascending = mpf(0)
         for n in range(lo, hi + 1):
-            term = kernel.evaluate(x - q.evaluate(n), ctx)
+            term = K(x - q.evaluate(n))
             ascending += term if n % 2 == 0 else -term
-        scale = kernel.evaluate(x, ctx)
+        scale = K(x)
         assert abs(rep.value - ascending) <= scale * mpf(2) ** -(300 - 16)
 
 
@@ -229,8 +230,10 @@ def test_precision_refinement():
     kernel = rademacher_kernel("p2")
     lo = alternating_sum(kernel, pentagonal_form(), x, PrecisionContext(bits=300))
     hi = alternating_sum(kernel, pentagonal_form(), x, PrecisionContext(bits=364))
+    hi_ctx = PrecisionContext(bits=364)
+    with hi_ctx.workprec():
+        scale = kernel.bind_real(hi_ctx)(x)
     with mp.workprec(380):
-        scale = kernel.evaluate(x, PrecisionContext(bits=364))
         assert abs(lo.value - hi.value) <= scale * mpf(2) ** -(300 - 16)
         # the cancelled value itself is stable to ~40 digits here
         assert abs(lo.value - hi.value) <= abs(hi.value) * mpf("1e-40")
