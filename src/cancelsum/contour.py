@@ -24,11 +24,19 @@ not only at the quadrature nodes, and no node needs a check.
 Vertical legs sit at half-integer abscissae when the gap between the
 outermost enclosed pole and the branch point allows it, else at the
 gap midpoint.  Quadrature is per-leg adaptive composite Gauss-Legendre
-with 32-point panels.  Splitting a panel yields the error estimate
-|parent - (left + right)|, which both halves carry; the initial panels
-have none, so the first sweep splits them all.  A leg converges when
-two successive refinement sweeps agree to the requested relative
-tolerance.
+with 32-point panels.  Every singularity of the integrand lies on the
+real axis: the poles at the integers and the branch points, the real
+roots of q = x.  An n-point rule on a panel converges like rho^(-2n),
+where rho is the sum of the semi-axes of the largest Bernstein ellipse
+about the panel that holds no singularity (Trefethen & Weideman, SIAM
+Review 56, 2014).  So a leg at clearance d from the real axis starts
+with panels max(8, 2d) wide: a panel 2d wide at distance d has
+rho = 1 + sqrt(2), and the 32-point rule gives about 3e-25 before any
+refinement.  A leg that crosses the axis has d = 0 and starts 8 wide.
+Splitting a panel yields the error estimate |parent - (left + right)|,
+which both halves carry; the initial panels have none, so the first
+sweep splits them all.  A leg converges when two successive refinement
+sweeps agree to the requested relative tolerance.
 """
 
 from __future__ import annotations
@@ -174,17 +182,29 @@ def _panel(f: Integrand, za: mpc, zb: mpc) -> mpc:
     return half * s
 
 
-def _leg_integral(f: Integrand, z0: mpc, z1: mpc, tol: mpf,
-                  scale_hint: mpf) -> tuple:
-    """Adaptive refinement sweeps; converged when two successive sweep
-    totals agree to tol relative.  A sweep splits the panels whose
-    halves estimate (None before their first split) exceeds their share
-    of tol, or every panel when none does."""
+def _initial_panels(z0: mpc, z1: mpc) -> int:
+    """Initial panel count of the leg z0 -> z1: panels max(8, 2d) wide,
+    at least 2, where d is the leg's clearance from the real axis (0 for
+    a leg that meets it), which holds every singularity.  ResourceError
+    past MAX_INITIAL_PANELS, before any evaluation."""
+    d = min(abs(z0.imag), abs(z1.imag)) if z0.imag * z1.imag > 0 else mpf(0)
     length = abs(z1 - z0)
-    if length > 2 * MAX_INITIAL_PANELS:
+    n0 = max(2, mp.ceil(length / max(8, 2 * d)))
+    if n0 > MAX_INITIAL_PANELS:
         raise ResourceError("a leg of length %s needs more than %d initial panels"
                             % (mp.nstr(length, 6), MAX_INITIAL_PANELS))
-    n0 = max(2, int(mp.ceil(length / 2)))
+    return int(n0)
+
+
+def _leg_integral(f: Integrand, z0: mpc, z1: mpc, tol: mpf,
+                  scale_hint: mpf) -> tuple:
+    """Adaptive refinement sweeps from _initial_panels' width, which the
+    leg's distance from the real-axis singularities sets (see the module
+    docstring); converged when two successive sweep totals agree to tol
+    relative.  A sweep splits the panels whose halves estimate (None
+    before their first split) exceeds their share of tol, or every panel
+    when none does."""
+    n0 = _initial_panels(z0, z1)
     step = (z1 - z0) / n0
     panels = []
     for i in range(n0):
@@ -258,6 +278,10 @@ def integrate_rectangle(f: Integrand, contour: RectContour,
 
 @dataclass(frozen=True)
 class ResidueReport:
+    """One residue identity check.  evaluations and levels are the
+    quadrature's own counts (QuadratureResult); to_json_dict leaves them
+    out, so contour-check's stdout does not depend on them."""
+
     x: float
     quad: mpc
     discrete: mpc
@@ -266,6 +290,8 @@ class ResidueReport:
     contour: RectContour
     term_count: int
     precision_bits: int
+    evaluations: int
+    levels: tuple
 
     def to_json_dict(self) -> dict:
         bits = self.precision_bits
@@ -316,4 +342,5 @@ def residue_identity_check(kernel: KernelSpec, q: QuadraticForm, x, u,
                          discrete=discrete, rel_err=rel_err,
                          leg_mags=leg_mags, contour=contour,
                          term_count=report.term_count,
-                         precision_bits=ctx.bits)
+                         precision_bits=ctx.bits,
+                         evaluations=quad.evaluations, levels=quad.levels)

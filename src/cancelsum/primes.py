@@ -26,7 +26,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from math import isqrt
 
 from mpmath import iv, mp, mpc, mpf
@@ -99,13 +99,13 @@ def build_sieve(limit: int) -> LambdaSieve:
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    entries = []
-    for p in range(2, limit + 1):
-        if flags[p]:
-            pp = p
-            while pp <= limit:
-                entries.append((pp, p))
-                pp *= p
+    entries = [(p, p) for p in compress(range(limit + 1), flags)]
+    # only primes up to isqrt(limit) have a higher power within the limit
+    for p in compress(range(isqrt(limit) + 1), flags):
+        pp = p * p
+        while pp <= limit:
+            entries.append((pp, p))
+            pp *= p
     entries.sort()
     return LambdaSieve(limit, entries)
 

@@ -5,10 +5,12 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from cancelsum import (DomainError, QuadraticForm, QuadratureError,
-                       RectContour, build_contour, exp_sqrt_kernel,
+                       RectContour, ResourceError, build_contour,
+                       complex_exp_kernel, exp_sqrt_kernel,
                        gauss_legendre_nodes, integrate_rectangle,
                        kernel_integrand, maximize_delta, pentagonal_form,
                        residue_identity_check, square_form)
+from cancelsum.contour import MAX_INITIAL_PANELS, _initial_panels
 from cancelsum.partition import growth_p1
 
 
@@ -78,8 +80,8 @@ def test_csc_square_residue(ctx192):
 
 
 @pytest.mark.parametrize("kernel,q,x,evaluations", [
-    (exp_sqrt_kernel(growth_p1), pentagonal_form(), 50, 2688),  # criterion 08
-    (exp_sqrt_kernel(1), square_form(1), 50, 4608),  # README contour-check
+    (exp_sqrt_kernel(growth_p1), pentagonal_form(), 50, 1792),  # criterion 08
+    (exp_sqrt_kernel(1), square_form(1), 50, 3328),  # README contour-check
 ], ids=["pentagonal-x50", "square-x50"])
 def test_evaluation_counts(ctx320, kernel, q, x, evaluations):
     # the halves error estimate makes the count exact; a weaker
@@ -87,6 +89,38 @@ def test_evaluation_counts(ctx320, kernel, q, x, evaluations):
     res = integrate_rectangle(kernel_integrand(kernel, q, x, ctx320),
                               build_contour(q, x, 1, ctx320), ctx320, "1e-14")
     assert res.evaluations == evaluations
+
+
+def test_initial_panel_width_rule():
+    L, big = 50, 8 * MAX_INITIAL_PANELS
+    # a horizontal leg at height Y starts 2|Y| wide once 2|Y| >= 8, in
+    # either direction and on either side of the real axis
+    for Y, want in ((10, 3), (-10, 3), (25, 2), (100, 2), (4, 7)):
+        assert _initial_panels(mpc(-L / 2, Y), mpc(L / 2, Y)) == want
+        assert _initial_panels(mpc(L / 2, Y), mpc(-L / 2, Y)) == want
+        assert want == max(2, math.ceil(L / (2 * abs(Y))))
+    # closer than 4, and across the axis, the width floor of 8 holds
+    assert _initial_panels(mpc(0, 1), mpc(L, 1)) == math.ceil(L / 8)
+    assert _initial_panels(mpc(3, -10), mpc(3, 10)) == math.ceil(20 / 8)
+    assert _initial_panels(mpc(3, -1), mpc(3, 1)) == 2
+    # the budget holds at exactly MAX_INITIAL_PANELS and fails one above
+    assert _initial_panels(mpc(0, -big / 2), mpc(0, big / 2)) == MAX_INITIAL_PANELS
+    with pytest.raises(ResourceError):
+        _initial_panels(mpc(0, -big / 2), mpc(0, big / 2 + 8))
+    assert _initial_panels(mpc(0, 10), mpc(20 * MAX_INITIAL_PANELS, 10)) == MAX_INITIAL_PANELS
+    with pytest.raises(ResourceError):
+        _initial_panels(mpc(0, 10), mpc(20 * MAX_INITIAL_PANELS + 20, 10))
+
+
+@pytest.mark.parametrize("kernel,q,x", [
+    *[(exp_sqrt_kernel(growth_p1), pentagonal_form(), x) for x in (48, 52, 396, 404)],
+    *[(complex_exp_kernel(1, 10, 100), square_form(100), x) for x in (99, 101)],
+], ids=["pent-x48", "pent-x52", "pent-x396", "pent-x404", "complex-x99", "complex-x101"])
+def test_residue_margin_at_benchmark_edges(ctx320, kernel, q, x):
+    # the edges of the residue benchmark's draw ranges: an initial width
+    # that lets refinement stop on a false agreement shows here first
+    report = residue_identity_check(kernel, q, x, 1, ctx320)
+    assert float(report.rel_err) <= 1e-12
 
 
 def test_csc_square_height_independent(ctx192):
@@ -212,6 +246,7 @@ def test_leg_mags_at_working_precision(ctx320):
     with mp.workprec(320):
         want = abs(quad.leg_values[1])
         assert abs(report.leg_mags[1] - want) <= mpf(2) ** -300 * want
+    assert (report.evaluations, report.levels) == (quad.evaluations, quad.levels)
 
 
 def test_rel_err_tracks_tol(ctx192):

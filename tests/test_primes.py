@@ -54,7 +54,10 @@ def test_sieve_against_independent_oracle():
                 oracle.append((pp, p))
                 pp *= p
     oracle.sort()
-    assert build_sieve(limit).entries == oracle
+    # every limit, so each square and higher power p^k = limit, where
+    # isqrt(limit) admits a new prime to the power loop, is an edge
+    for n in range(2, limit + 1):
+        assert build_sieve(n).entries == [e for e in oracle if e[0] <= n]
 
 
 def test_prime_count_million(sieve1m):
