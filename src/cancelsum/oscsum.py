@@ -130,6 +130,10 @@ class KernelSpec:
     a Fraction or a growth callable (numerics.rate_value).  The precision
     policy and the predicted bound both read this one value.
 
+    `real` says whether the kernel is real on the positive reals.  Its
+    continuation then satisfies K(conj w) = conj K(w) off the cut
+    (Schwarz reflection), which halves a contour check (contour module).
+
     `bind_real` and `bind_complex` bind the kernel to a context.  Called
     inside ctx.workprec(), each rounds the kernel's constants once and
     returns a function that runs at that precision: y -> K(y) at a
@@ -140,11 +144,12 @@ class KernelSpec:
 
     family: str
     growth: object
+    real: bool
     bind_real: Callable[[PrecisionContext], Callable]
     bind_complex: Optional[Callable[[PrecisionContext], Callable]] = None
 
 
-def _exp_sqrt_family(family: str, growth, exponent) -> KernelSpec:
+def _exp_sqrt_family(family: str, growth, real: bool, exponent) -> KernelSpec:
     """kernel(y) = e^{s sqrt(y)}, s = exponent() at the working precision;
     the continuation takes the principal square root."""
     def bind_real(ctx):
@@ -155,7 +160,7 @@ def _exp_sqrt_family(family: str, growth, exponent) -> KernelSpec:
         s = exponent()
         return lambda w: mp.exp(s * complex_sqrt_principal(w))
 
-    return KernelSpec(family, growth, bind_real, bind_complex)
+    return KernelSpec(family, growth, real, bind_real, bind_complex)
 
 
 def exp_sqrt_kernel(c) -> KernelSpec:
@@ -164,7 +169,7 @@ def exp_sqrt_kernel(c) -> KernelSpec:
     working precision."""
     if rate_value(c) <= 0:
         raise DomainError("exp_sqrt needs c > 0")
-    return _exp_sqrt_family("exp_sqrt", c, lambda: rate_value(c))
+    return _exp_sqrt_family("exp_sqrt", c, True, lambda: rate_value(c))
 
 
 def rademacher_kernel(name: str) -> KernelSpec:
@@ -173,7 +178,7 @@ def rademacher_kernel(name: str) -> KernelSpec:
     if name not in _RADEMACHER:
         raise DomainError("unknown rademacher kernel %r" % (name,))
     func, growth = _RADEMACHER[name]
-    return KernelSpec("rademacher", growth, lambda ctx: lambda y: func(y, ctx))
+    return KernelSpec("rademacher", growth, True, lambda ctx: lambda y: func(y, ctx))
 
 
 def bessel_kernel(alpha: int, c) -> KernelSpec:
@@ -185,7 +190,7 @@ def bessel_kernel(alpha: int, c) -> KernelSpec:
         cv = rate_value(c)
         return lambda y: bessel_i(alpha, cv * mp.sqrt(to_mpf_exact(y)), ctx)
 
-    return KernelSpec("bessel", c, bind_real)
+    return KernelSpec("bessel", c, True, bind_real)
 
 
 def power_kernel(k_half) -> KernelSpec:
@@ -201,7 +206,7 @@ def power_kernel(k_half) -> KernelSpec:
         e = to_mpf_exact(exponent)
         return lambda w: mpc(w) ** e
 
-    return KernelSpec("power", 0, bind_real, bind_complex)
+    return KernelSpec("power", 0, True, bind_real, bind_complex)
 
 
 def complex_exp_kernel(alpha, beta, T) -> KernelSpec:
@@ -216,7 +221,7 @@ def complex_exp_kernel(alpha, beta, T) -> KernelSpec:
         raise DomainError("complex_exp needs T > 0")
     if beta_f * beta_f > T_f:
         raise DomainError("complex_exp needs |beta| <= sqrt(T)")
-    return _exp_sqrt_family("complex_exp", alpha_f,
+    return _exp_sqrt_family("complex_exp", alpha_f, beta_f == 0,
                             lambda: mpc(to_mpf_exact(alpha_f), to_mpf_exact(beta_f)))
 
 

@@ -15,7 +15,6 @@ truncations of the Hardy-Ramanujan-Rademacher series.
 
 from __future__ import annotations
 
-import threading
 from typing import Sequence
 
 from mpmath import mp, mpf
@@ -47,15 +46,11 @@ def pentagonal(n: int) -> int:
 
 
 class ExactPartitionTable:
-    """Append-only table of exact p(0..n_max), grown behind a lock.
-
-    Reads of already-computed prefixes are safe concurrently; growth is
-    serialized.  values[0] = 1 and the sequence is nondecreasing.
-    """
+    """Append-only table of exact p(0..n_max); values[0] = 1 and the
+    sequence is nondecreasing."""
 
     def __init__(self, values: Sequence[int] | None = None):
         self._values = list(values) if values else [1]
-        self._lock = threading.Lock()
         if self._values[0] != 1:
             raise DomainError("partition table must start with p(0) = 1")
 
@@ -67,22 +62,21 @@ class ExactPartitionTable:
         if n_max > MAX_PARTITION_N:
             raise ResourceError("partition table to %d exceeds budget %d"
                                 % (n_max, MAX_PARTITION_N))
-        with self._lock:
-            values = self._values
-            for k in range(len(values), n_max + 1):
-                total = 0
-                j = 1
-                while True:
-                    g1 = k - j * (3 * j - 1) // 2
-                    if g1 < 0:
-                        break
-                    term = values[g1]
-                    g2 = k - j * (3 * j + 1) // 2
-                    if g2 >= 0:
-                        term += values[g2]
-                    total += term if j % 2 else -term
-                    j += 1
-                values.append(total)
+        values = self._values
+        for k in range(len(values), n_max + 1):
+            total = 0
+            j = 1
+            while True:
+                g1 = k - j * (3 * j - 1) // 2
+                if g1 < 0:
+                    break
+                term = values[g1]
+                g2 = k - j * (3 * j + 1) // 2
+                if g2 >= 0:
+                    term += values[g2]
+                total += term if j % 2 else -term
+                j += 1
+            values.append(total)
 
     def partition(self, n: int) -> int:
         if n < 0:

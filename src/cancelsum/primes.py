@@ -42,6 +42,10 @@ from .oscsum import MAX_INDEX_RANGE, SumReport
 # 416 MB for the 2.05M prime powers at x=300, about 0.7 and 1.1 GB at the cap.
 MAX_SIEVE_LIMIT = 100_000_000
 PSI_METHODS = ("bucket", "direct")
+# Bits above the working precision that psi_interval_half sums psi at
+# first: lhs - rhs cancels about 5 bits at x = 40 and 11 at x = 200, and
+# a deeper cancellation takes a second pass.
+HALF_HEADROOM_BITS = 24
 
 
 def _log_products(factors, marks, prec: int) -> list:
@@ -298,18 +302,33 @@ def psi_interval_half(x, T, sieve: LambdaSieve, ctx: PrecisionContext) -> Interv
     algebraic bridge to the alternating sum S is
       lhs - rhs = -S/2 - boundary,
     with boundary = psi at cutoff L when L is odd, else 0.
+
+    rel_err = |lhs - rhs| / psi_full loses the log2(psi_full / |lhs - rhs|)
+    bits that cancel, so psi is summed with that many bits above the
+    working precision: HALF_HEADROOM_BITS in a first pass, and the
+    measured cancellation in a second when it is more.  boundary takes no
+    part in rel_err and is psi at the working precision, as threshold_psi
+    gives it.
     """
     counts = [bisect_right(sieve._pp, n) for n in _cutoffs(x, T, sieve)]
-    psi_at = sieve.arrays_at(counts, ctx.bits + ctx.guard_bits)
-    L = len(psi_at) - 1
-    with ctx.workprec():
-        lhs = mpf(0)
-        for l in range(1, L // 2 + 1):
-            lhs += psi_at[2 * l - 1] - psi_at[2 * l]
-        full = psi_at[0]
-        rhs = full / 2
-        boundary = psi_at[L] if L % 2 == 1 else mpf(0)
-        rel_err = abs(lhs - rhs) / full if full > 0 else mpf(0)
+    L = len(counts) - 1
+    extra = HALF_HEADROOM_BITS
+    for _ in range(2):
+        prec = ctx.bits + ctx.guard_bits + extra
+        psi_at = sieve.arrays_at(counts, prec)
+        with mp.workprec(prec):
+            lhs = mpf(0)
+            for l in range(1, L // 2 + 1):
+                lhs += psi_at[2 * l - 1] - psi_at[2 * l]
+            full = psi_at[0]
+            rhs = full / 2
+            gap = abs(lhs - rhs)
+            rel_err = gap / full if full > 0 else mpf(0)
+            cancelled = mp.mag(full) - mp.mag(gap) if rel_err > 0 else 0
+        if cancelled <= extra:
+            break
+        extra = cancelled
+    boundary = sieve.arrays_at(counts[L:], ctx.bits + ctx.guard_bits)[0] if L % 2 else mpf(0)
     return IntervalHalfReport(lhs=lhs, rhs=rhs, rel_err=rel_err, boundary=boundary,
                               ell_max=L, psi_full=full, precision_bits=ctx.bits)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from cancelsum import (DomainError, QuadraticForm, QuadratureError,
                        complex_exp_kernel, exp_sqrt_kernel,
                        gauss_legendre_nodes, integrate_rectangle,
                        kernel_integrand, maximize_delta, pentagonal_form,
-                       residue_identity_check, square_form)
-from cancelsum.contour import MAX_INITIAL_PANELS, _initial_panels
+                       power_kernel, residue_identity_check, square_form)
+from cancelsum.contour import MAX_INITIAL_PANELS, _initial_panels, _node_cache
 from cancelsum.partition import growth_p1
 
 
@@ -37,6 +38,38 @@ def test_gauss_legendre_exactness():
             got = sum(w * n ** k for n, w in pairs)
             want = mpf(0) if k % 2 else mpf(2) / (k + 1)
             assert abs(got - want) < mpf(2) ** -160
+
+
+def _nodes_by_plain_newton(npts):
+    # Newton on the Legendre recurrence at the working precision plus 32
+    # bits from a cosine start, with no precision ladder
+    with mp.workprec(mp.prec + 32):
+        tol = mpf(2) ** (-mp.prec + 16)
+        pairs = []
+        for i in range(1, npts // 2 + 1):
+            x = mp.cos(mp.pi * (i - mpf(1) / 4) / (npts + mpf(1) / 2))
+            dp = mpf(1)
+            for _ in range(200):
+                p0, p1 = mpf(1), x
+                for j in range(2, npts + 1):
+                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+                dp = npts * (x * p1 - p0) / (x * x - 1)
+                dx = p1 / dp
+                x -= dx
+                if abs(dx) < tol:
+                    break
+            w = 2 / ((1 - x * x) * dp * dp)
+            pairs.append((x, w))
+            pairs.append((-x, w))
+    return tuple((+n, +w) for n, w in pairs)
+
+
+@pytest.mark.parametrize("prec", [160, 352])
+def test_gauss_legendre_ladder_matches_plain_newton(prec):
+    # the float start and precision ladder change the cost, not one bit
+    with mp.workprec(prec):
+        _node_cache.pop((32, prec), None)
+        assert gauss_legendre_nodes(32) == _nodes_by_plain_newton(32)
 
 
 def test_gauss_legendre_rejects_odd_npts():
@@ -80,14 +113,15 @@ def test_csc_square_residue(ctx192):
 
 
 @pytest.mark.parametrize("kernel,q,x,evaluations", [
-    (exp_sqrt_kernel(growth_p1), pentagonal_form(), 50, 1792),  # criterion 08
-    (exp_sqrt_kernel(1), square_form(1), 50, 3328),  # README contour-check
+    (exp_sqrt_kernel(growth_p1), pentagonal_form(), 50, 832),  # criterion 08
+    (exp_sqrt_kernel(1), square_form(1), 50, 896),  # README contour-check
 ], ids=["pentagonal-x50", "square-x50"])
 def test_evaluation_counts(ctx320, kernel, q, x, evaluations):
     # the halves error estimate makes the count exact; a weaker
-    # estimator or an extra rule per panel shows here first
+    # estimator, an extra rule per panel or a lost symmetry shows here first
     res = integrate_rectangle(kernel_integrand(kernel, q, x, ctx320),
-                              build_contour(q, x, 1, ctx320), ctx320, "1e-14")
+                              build_contour(q, x, 1, ctx320), ctx320, "1e-14",
+                              real=kernel.real, odd=q.b == 0)
     assert res.evaluations == evaluations
 
 
@@ -110,6 +144,48 @@ def test_initial_panel_width_rule():
     assert _initial_panels(mpc(0, 10), mpc(20 * MAX_INITIAL_PANELS, 10)) == MAX_INITIAL_PANELS
     with pytest.raises(ResourceError):
         _initial_panels(mpc(0, 10), mpc(20 * MAX_INITIAL_PANELS + 20, 10))
+
+
+@pytest.mark.parametrize("kernel,q,x,real,odd", [
+    (exp_sqrt_kernel(growth_p1), pentagonal_form(), 50, True, False),
+    (complex_exp_kernel(1, 3, 16), square_form(16), 20, False, True),
+    (power_kernel(3), square_form(1), 30, True, True),
+], ids=["real", "odd", "real-odd"])
+def test_symmetric_paths_match_four_legs(ctx192, kernel, q, x, real, odd):
+    # each leg rebuilt from the fundamental paths against the leg itself
+    assert (kernel.real, q.b == 0) == (real, odd)
+    f = kernel_integrand(kernel, q, x, ctx192)
+    contour = build_contour(q, x, 1, ctx192)
+    tol = mpf("1e-14")
+    full = integrate_rectangle(f, contour, ctx192, tol)
+    sym = integrate_rectangle(f, contour, ctx192, tol, real=real, odd=odd)
+    with ctx192.workprec():
+        for got, want in zip(sym.leg_values, full.leg_values):
+            assert abs(got - want) <= tol * abs(want)
+        assert abs(sym.value - full.value) <= tol * abs(full.value)
+    assert sym.evaluations < full.evaluations
+    bottom, right, top, left = sym.levels
+    assert bottom == top and (right == left or not odd)
+
+
+def test_complex_kernel_off_square_form_takes_four_legs(ctx320):
+    # e^{(1 + i) sqrt(y)} is not real and the pentagonal form is not
+    # even: no symmetry holds, so every leg is integrated
+    kernel, q, x = complex_exp_kernel(1, 1, 100), pentagonal_form(), 50
+    report = residue_identity_check(kernel, q, x, 1, ctx320)
+    full = integrate_rectangle(kernel_integrand(kernel, q, x, ctx320),
+                               build_contour(q, x, 1, ctx320), ctx320, "1e-14")
+    assert (report.evaluations, report.levels) == (full.evaluations, full.levels)
+    assert float(report.rel_err) <= 1e-12
+    # assuming f(conj z) = conj f(z) for it breaks the identity
+    wrong = residue_identity_check(dataclasses.replace(kernel, real=True), q, x, 1, ctx320)
+    assert float(wrong.rel_err) > 1e-12
+
+
+def test_odd_needs_centred_rectangle(ctx192):
+    contour = RectContour(mpf("0.6"), mpf("0.6"), shift=mpf("0.5"))
+    with pytest.raises(DomainError):
+        integrate_rectangle(csc, contour, ctx192, "1e-10", odd=True)
 
 
 @pytest.mark.parametrize("kernel,q,x", [
@@ -242,7 +318,8 @@ def test_leg_mags_at_working_precision(ctx320):
     kernel, q, x = exp_sqrt_kernel(1), pentagonal_form(), Fraction(1, 10)
     report = residue_identity_check(kernel, q, x, 1, ctx320)
     quad = integrate_rectangle(kernel_integrand(kernel, q, x, ctx320),
-                               build_contour(q, x, 1, ctx320), ctx320, "1e-14")
+                               build_contour(q, x, 1, ctx320), ctx320, "1e-14",
+                               real=True)
     with mp.workprec(320):
         want = abs(quad.leg_values[1])
         assert abs(report.leg_mags[1] - want) <= mpf(2) ** -300 * want

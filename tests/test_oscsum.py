@@ -9,7 +9,7 @@ from cancelsum import (DegenerateFitError, DomainError, EmptyRangeError,
                        alternating_sum, bound_main1, bound_main2,
                        complex_exp_kernel, delta, empirical_exponent,
                        exp_sqrt_kernel, maximize_delta, pentagonal_form,
-                       rademacher_kernel, square_form)
+                       power_kernel, rademacher_kernel, square_form)
 from cancelsum.numerics import to_mpf_exact
 from cancelsum.partition import growth_p1, growth_p3, partition_exact
 
@@ -256,6 +256,13 @@ def test_p2_pentagonal_exponent(ctx320):
     with ctx320.workprec():
         expo = mp.log(abs(rep.value)) / mp.log(to_mpf_exact(partition_exact(x)))
         assert float(expo) <= 0.12
+
+
+def test_kernel_real_on_positive_reals():
+    assert exp_sqrt_kernel(1).real and power_kernel(3).real
+    assert complex_exp_kernel(1, 0, 100).real
+    assert not complex_exp_kernel(1, 10, 100).real
+    assert not complex_exp_kernel(1, Fraction(-1, 3), 100).real
 
 
 def test_complex_kernel_beta_zero_matches_real(ctx320):

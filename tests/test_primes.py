@@ -8,9 +8,10 @@ from mpmath import mp, mpf
 from cancelsum import (DomainError, LambdaSieve, PrecisionContext,
                        ResourceError, build_sieve, coefficients_value,
                        interval_union_measure, lambda_coefficients,
-                       load_sieve, psi, psi_interval_half,
+                       load_sieve, nstr_for_bits, psi, psi_interval_half,
                        psi_weak_pentagonal, save_sieve, threshold_psi,
                        to_fraction_exact)
+from cancelsum import primes
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +339,24 @@ def test_interval_half_json(sieve600, ctx192):
     float(d["lhs"])
     assert d["ell_max"] == 346
     assert d["bits"] == 192
+
+
+@pytest.mark.parametrize("headroom", [primes.HALF_HEADROOM_BITS, 0],
+                         ids=["one-pass", "two-pass"])
+def test_interval_half_digits_carried(monkeypatch, headroom):
+    # lhs - rhs cancels about 11 bits of psi at (1601/8, 3023), the psi
+    # benchmark's seed-1 pair, and 23 at (1599/8, 3443), where summing psi
+    # at the working precision alone printed rel_err 3 units off in its
+    # last digit.  Every printed digit must survive a 320-bit rerun;
+    # headroom 0 makes each run take its second pass.
+    monkeypatch.setattr(primes, "HALF_HEADROOM_BITS", headroom)
+    sieve = build_sieve(primes.sieve_limit(Fraction(1601, 8)))
+    for x, T in ((Fraction(1601, 8), 3023), (Fraction(1599, 8), 3443)):
+        low = psi_interval_half(x, T, sieve, PrecisionContext(bits=128))
+        high = psi_interval_half(x, T, sieve, PrecisionContext(bits=320))
+        for key in ("lhs", "rhs", "rel_err", "boundary", "psi_full"):
+            assert (nstr_for_bits(getattr(low, key), 128)
+                    == nstr_for_bits(getattr(high, key), 128)), (x, T, key)
 
 
 # ---------------------------------------------------------------------------
