@@ -27,8 +27,7 @@ from .oscsum import (KernelSpec, QuadraticForm, SumReport, alternating_sum,
 from .primes import (IntervalHalfReport, LambdaSieve, build_sieve,
                      coefficients_value, interval_union_measure,
                      lambda_coefficients, load_sieve, psi,
-                     psi_interval_half, psi_weak_pentagonal, save_sieve,
-                     threshold_psi)
+                     psi_interval_half, psi_weak_pentagonal, save_sieve)
 from .pte import (IntegerPolynomial, PTEPair, PTERow, coefficient_bound_check,
                   construct_pair, detect_degree, empirical_constant,
                   f_r_exact, integer_root, k_regime, lemma_bound, lemma_sum,

@@ -35,9 +35,6 @@ _RATE_TOKENS = {
     "growth-p1": partition.growth_p1,
     "growth-p3": partition.growth_p3,
 }
-_KERNELS = ("p1", "p2", "p3", "p4", "sqrt_p1", "exp_sqrt", "bessel", "power",
-            "complex_exp")
-_FORMS = ("pentagonal", "square", "custom")
 
 # Points in one generated --x-grid; the largest grid in use has 20.
 MAX_GRID_POINTS = 1_000
@@ -113,24 +110,25 @@ def _resolve_ctx(bits, x, rate) -> PrecisionContext:
     return context_for(x, rate) if bits is None else PrecisionContext(bits=bits)
 
 
-def _form_from(args) -> oscsum.QuadraticForm:
-    if args.form == "square":
-        return oscsum.square_form(args.T)
-    if args.form == "custom":
-        return oscsum.QuadraticForm(args.a, args.b, args.d)
-    return oscsum.pentagonal_form()
-
-
-def _kernel_from(args) -> oscsum.KernelSpec:
-    if args.kernel == "exp_sqrt":
-        return oscsum.exp_sqrt_kernel(args.c)
-    if args.kernel == "bessel":
-        return oscsum.bessel_kernel(args.alpha_order, args.c)
-    if args.kernel == "power":
-        return oscsum.power_kernel(args.k_half)
-    if args.kernel == "complex_exp":
-        return oscsum.complex_exp_kernel(args.alpha, args.beta, args.T)
+def _rademacher(args) -> oscsum.KernelSpec:
     return oscsum.rademacher_kernel(args.kernel)
+
+
+# --kernel and --form: each name and the constructor it selects, in the
+# order --help lists them
+_KERNELS = {
+    "p1": _rademacher, "p2": _rademacher, "p3": _rademacher, "p4": _rademacher,
+    "sqrt_p1": _rademacher,
+    "exp_sqrt": lambda args: oscsum.exp_sqrt_kernel(args.c),
+    "bessel": lambda args: oscsum.bessel_kernel(args.alpha_order, args.c),
+    "power": lambda args: oscsum.power_kernel(args.k_half),
+    "complex_exp": lambda args: oscsum.complex_exp_kernel(args.alpha, args.beta, args.T),
+}
+_FORMS = {
+    "pentagonal": lambda args: oscsum.pentagonal_form(),
+    "square": lambda args: oscsum.square_form(args.T),
+    "custom": lambda args: oscsum.QuadraticForm(args.a, args.b, args.d),
+}
 
 
 def _emit(rows: list, columns: list, fmt: str) -> None:
@@ -185,8 +183,8 @@ _SUM_COLUMNS = ["x", "re", "im", "abs", "terms", "bound", "ratio", "bits"]
 
 
 def cmd_osc_sum(args) -> int:
-    kernel = _kernel_from(args)
-    q = _form_from(args)
+    kernel = _KERNELS[args.kernel](args)
+    q = _FORMS[args.form](args)
     rows = []
     for x in args.x:
         ctx = _resolve_ctx(args.bits, x, kernel.growth)
@@ -298,8 +296,8 @@ def cmd_lemma_sum(args) -> int:
 
 def cmd_contour_check(args) -> int:
     x, u = args.x, args.u
-    kernel = _kernel_from(args)
-    q = _form_from(args)
+    kernel = _KERNELS[args.kernel](args)
+    q = _FORMS[args.form](args)
     # auto never goes below 320 bits, where every contour tolerance and
     # evaluation count in use was set; steeper kernels get the policy bits
     bits = args.bits
@@ -335,8 +333,8 @@ def cmd_exponent_fit(args) -> int:
         except OverflowError:
             raise DomainError("synthetic samples overflow a float") from None
     else:
-        kernel = _kernel_from(args)
-        q = _form_from(args)
+        kernel = _KERNELS[args.kernel](args)
+        q = _FORMS[args.form](args)
         for x in args.x:
             ctx = _resolve_ctx(args.bits, x, kernel.growth)
             report = oscsum.alternating_sum(kernel, q, x, ctx)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, zip_longest
 from math import sqrt
 from typing import Callable, Optional, Union
 
@@ -254,20 +255,8 @@ class SumReport:
 def _interleaved(lo: int, hi: int):
     """0, 1, -1, 2, -2, ... clipped to [lo, hi] (increasing |n|)."""
     start = min(max(0, lo), hi)
-    yield start
-    step = 1
-    while True:
-        up, down = start + step, start - step
-        emitted = False
-        if up <= hi:
-            yield up
-            emitted = True
-        if down >= lo:
-            yield down
-            emitted = True
-        if not emitted:
-            return
-        step += 1
+    pairs = zip_longest(range(start + 1, hi + 1), range(start - 1, lo - 1, -1))
+    return chain((start,), (n for pair in pairs for n in pair if n is not None))
 
 
 def alternating_sum(kernel: KernelSpec, q: QuadraticForm, x, ctx: PrecisionContext,

@@ -20,7 +20,7 @@ from typing import Sequence
 from mpmath import mp, mpf
 
 from .errors import DomainError, ResourceError
-from .numerics import PrecisionContext
+from .numerics import PrecisionContext, to_fraction_exact
 
 # Largest n of an exact table; the largest in use is 10,101 (pnt-verify in
 # the cli-mix benchmark); pnt-verify at the cap takes about 40 s (CPython
@@ -112,26 +112,16 @@ def pnt_checksum(x: int, table: ExactPartitionTable | None = None) -> int:
 
 
 def _as_positive_int(x) -> int:
-    """Accept int or an exactly-integral rational/mpf; the sign factor
-    (-1)^x in p3 is only defined at integers."""
-    if isinstance(x, bool):
+    """Accept int or an exactly-integral rational, float or mpf; the sign
+    factor (-1)^x in p3 is only defined at integers."""
+    if isinstance(x, (bool, str)):
         raise DomainError("x must be a positive integer")
-    if isinstance(x, int):
-        xi = x
-    else:
-        num = getattr(x, "numerator", None)
-        den = getattr(x, "denominator", None)
-        if num is not None and den == 1:
-            xi = int(num)
-        elif isinstance(x, mpf) and x == int(x):
-            xi = int(x)
-        elif isinstance(x, float) and x == int(x):
-            xi = int(x)
-        else:
-            raise DomainError("rademacher kernels are defined at integer arguments only, got %r" % (x,))
-    if xi < 1:
+    xf = to_fraction_exact(x)
+    if xf.denominator != 1:
+        raise DomainError("rademacher kernels are defined at integer arguments only, got %r" % (x,))
+    if xf < 1:
         raise DomainError("rademacher kernels need x >= 1")
-    return xi
+    return xf.numerator
 
 
 def p1(x, ctx: PrecisionContext) -> mpf:

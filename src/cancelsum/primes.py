@@ -1,9 +1,9 @@
 """Von Mangoldt sieve, Chebyshev psi, and the alternating psi sums over
 scaled-square indices.
 
-The sieve stores prime powers structurally as (prime_power, prime)
-pairs so Lambda(n) = log(prime) can be taken lazily at any working
-precision: one sieve serves every precision context.
+The sieve stores the prime powers as one ascending array of integers,
+and Lambda(n) = log p is taken lazily at any working precision: one
+sieve serves every precision context.
 
 Every psi value counts prime powers by one rule: n lies inside cutoff j
 iff n <= N_j = floor(e^{sqrt(x - j^2/T)}), an exact integer computed
@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,13 +34,14 @@ from mpmath import iv, mp, mpc, mpf
 
 from .errors import DomainError, ResourceError
 from .numerics import PrecisionContext, nstr_for_bits, to_fraction_exact, to_mpf_exact
-from .oscsum import MAX_INDEX_RANGE, SumReport
+from .oscsum import SumReport, square_form
 
-# A psi run peaks near 1 byte per integer (sieve flags) plus, per prime
-# power, ~105 bytes for psi-half (index entry and prime-power list) and
-# ~180 for psi-sum, whose coefficient map makes up the difference (peak RSS,
-# CPython 3.11): psi-half and psi-sum take 165 and 236 MB at x=280, 272 and
-# 416 MB for the 2.05M prime powers at x=300, about 0.7 and 1.1 GB at the cap.
+# Peak RSS of a psi run (CPython 3.11): psi-half peaks in the build, at
+# 1 byte per integer (sieve flags) plus 8 per prime power (the index);
+# psi-sum peaks later, at the index plus ~100 bytes per prime for its
+# coefficient map.  psi-half and psi-sum take 48 and 131 MB at x=280, 69
+# and 239 MB for the 2.05M prime powers at x=300, and by these rates about
+# 0.17 and 0.65 GB at the cap.
 MAX_SIEVE_LIMIT = 100_000_000
 PSI_METHODS = ("bucket", "direct")
 # Bits above the working precision that psi_interval_half sums psi at
@@ -70,24 +72,42 @@ def _log_products(factors, marks, prec: int) -> list:
     return logs
 
 
+def _higher_powers(p: int, limit: int):
+    """(p^k, p) for each k >= 2 with p^k <= limit."""
+    pk = p * p
+    while pk <= limit:
+        yield pk, p
+        pk *= p
+
+
 class LambdaSieve:
     """Immutable index of prime powers up to `limit`.
 
-    entries: ascending list of (prime_power, prime).  Lambda(prime_power)
-    = log(prime); Lambda is zero off this list.
+    entries: ascending array('Q') of the prime powers.  Lambda(n) = log p
+    for n = p^k in entries; Lambda is zero off it.  A higher power p^k,
+    k >= 2, needs p <= isqrt(limit), so the map from each higher power
+    to its prime is small; every other entry is its own prime.
     """
 
-    def __init__(self, limit: int, entries: list[tuple[int, int]]):
+    def __init__(self, limit: int, entries: array):
         self.limit = limit
         self.entries = entries
-        self._pp = [pp for pp, _ in entries]
+        self._base: dict[int, int] = {}
+        # ascending, so each prime comes before its powers enter the map
+        for p in islice(entries, bisect_right(entries, isqrt(limit))):
+            if p not in self._base:
+                self._base.update(_higher_powers(p, limit))
+
+    def primes(self):
+        """The prime p of each entry p^k, in entry order."""
+        return map(self._base.get, self.entries, self.entries)
 
     def arrays_at(self, counts, prec: int) -> list:
         """psi just below the k-th prime power, for each prefix count k in
         `counts` (any order), at binary precision `prec`: one walk over the
         prime powers and one log per distinct count."""
         marks = sorted(set(counts))
-        logs = _log_products((p for _, p in self.entries), marks, prec)
+        logs = _log_products(self.primes(), marks, prec)
         at = dict(zip(marks, logs))
         return [at[k] for k in counts]
 
@@ -98,20 +118,18 @@ def build_sieve(limit: int) -> LambdaSieve:
         raise DomainError("build_sieve needs limit >= 2")
     if limit > MAX_SIEVE_LIMIT:
         raise ResourceError("sieve limit %d exceeds budget %d" % (limit, MAX_SIEVE_LIMIT))
+    root = isqrt(limit)
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit) + 1):
+    for p in range(2, root + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    entries = [(p, p) for p in compress(range(limit + 1), flags)]
-    # only primes up to isqrt(limit) have a higher power within the limit
-    for p in compress(range(isqrt(limit) + 1), flags):
-        pp = p * p
-        while pp <= limit:
-            entries.append((pp, p))
-            pp *= p
-    entries.sort()
-    return LambdaSieve(limit, entries)
+    # only primes up to root have a higher power within the limit; once
+    # those powers are flagged too, one pass yields every entry in order
+    for p in compress(range(root + 1), flags[: root + 1]):
+        for pk, _ in _higher_powers(p, limit):
+            flags[pk] = 1
+    return LambdaSieve(limit, array("Q", compress(range(limit + 1), flags)))
 
 
 def sieve_limit(x) -> int:
@@ -134,21 +152,18 @@ def psi(y, sieve: LambdaSieve, ctx: PrecisionContext) -> mpf:
     if y > sieve.limit:
         raise DomainError("psi argument %s exceeds sieve limit %d" % (y, sieve.limit))
     yf = to_fraction_exact(y)
-    count = bisect_right(sieve._pp, yf.numerator // yf.denominator)
+    count = bisect_right(sieve.entries, yf.numerator // yf.denominator)
     return sieve.arrays_at([count], ctx.bits + ctx.guard_bits)[0]
 
 
 def _ell_max(x, T) -> int:
-    """Largest L with L^2 < x*T (exact rational comparison); ResourceError
-    when the 2 sqrt(xT) wide index range exceeds MAX_INDEX_RANGE."""
+    """Largest L with L^2 < x*T (square_form(T).index_range(x));
+    DomainError unless T > 0 and x*T >= 1, ResourceError when the index
+    range exceeds oscsum.MAX_INDEX_RANGE."""
     Tf = to_fraction_exact(T)
-    xt = to_fraction_exact(x) * Tf
-    if Tf <= 0 or xt < 1:
+    if Tf <= 0 or to_fraction_exact(x) * Tf < 1:
         raise DomainError("need T > 0 and x*T >= 1 so the index range is nonempty")
-    if 4 * xt > MAX_INDEX_RANGE ** 2:
-        raise ResourceError("l^2 < x*T = %s spans more than %d indices" % (xt, MAX_INDEX_RANGE))
-    L = isqrt(int(xt))
-    return L - 1 if L * L == xt else L
+    return square_form(Tf).index_range(x)[1]
 
 
 def _cutoff(t: Fraction, limit: int) -> int:
@@ -192,19 +207,21 @@ def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> dic
     if method not in PSI_METHODS:
         raise DomainError("unknown method %r" % (method,))
     cut = _cutoffs(x, T, sieve)
-    n_inside = bisect_right(sieve._pp, cut[0])
+    entries, base = sieve.entries, sieve._base
+    n_inside = bisect_right(entries, cut[0])
     coeff: dict[int, int] = {}
     if method == "bucket":
         neg = [-n for n in cut]  # ascending
-        for pp, p in sieve.entries[:n_inside]:
+        for pp in islice(entries, n_inside):
             # largest j with pp <= N_j
             j = bisect_right(neg, -pp) - 1
+            p = base.get(pp, pp)
             coeff[p] = coeff.get(p, 0) + (1 if j % 2 == 0 else -1)
     else:
         # per-j prefix counts, spread onto prime powers by a difference array
         span = [0] * (n_inside + 1)
         for j, n in enumerate(cut):
-            cnt = bisect_right(sieve._pp, n, 0, n_inside)
+            cnt = bisect_right(entries, n, 0, n_inside)
             s = (1 if j % 2 == 0 else -1) * (1 if j == 0 else 2)
             if cnt > 0:
                 span[0] += s
@@ -213,7 +230,7 @@ def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> dic
         for i in range(n_inside):
             running += span[i]
             if running:
-                p = sieve.entries[i][1]
+                p = base.get(entries[i], entries[i])
                 coeff[p] = coeff.get(p, 0) + running
     # only primes whose powers cancel are zero: delete those few in place
     # rather than copy the map
@@ -279,15 +296,6 @@ class IntervalHalfReport:
         }
 
 
-def threshold_psi(x, T, j: int, sieve: LambdaSieve, ctx: PrecisionContext) -> mpf:
-    """psi(e^{sqrt(x - j^2/T)}) = psi(N_j)."""
-    xf, Tf = to_fraction_exact(x), to_fraction_exact(T)
-    L = _ell_max(xf, Tf)
-    if not 0 <= j <= L:
-        raise DomainError("threshold index %d outside 0..%d" % (j, L))
-    return psi(_cutoff(xf - Fraction(j * j) / Tf, sieve.limit), sieve, ctx)
-
-
 def psi_interval_half(x, T, sieve: LambdaSieve, ctx: PrecisionContext) -> IntervalHalfReport:
     """lhs = sum_{l=1}^{floor(L/2)} [psi at cutoff 2l-1 minus psi at cutoff 2l],
     i.e. psi over the union of intervals (e^{sqrt(x-(2l)^2/T)}, e^{sqrt(x-(2l-1)^2/T)}];
@@ -307,10 +315,9 @@ def psi_interval_half(x, T, sieve: LambdaSieve, ctx: PrecisionContext) -> Interv
     bits that cancel, so psi is summed with that many bits above the
     working precision: HALF_HEADROOM_BITS in a first pass, and the
     measured cancellation in a second when it is more.  boundary takes no
-    part in rel_err and is psi at the working precision, as threshold_psi
-    gives it.
+    part in rel_err and is psi at the working precision, as psi gives it.
     """
-    counts = [bisect_right(sieve._pp, n) for n in _cutoffs(x, T, sieve)]
+    counts = [bisect_right(sieve.entries, n) for n in _cutoffs(x, T, sieve)]
     L = len(counts) - 1
     extra = HALF_HEADROOM_BITS
     for _ in range(2):
@@ -346,21 +353,31 @@ def interval_union_measure(x, T, ctx: PrecisionContext) -> mpf:
 
 
 LSIV_MAGIC = b"LSIV"
-LSIV_VERSION = 2
-_LSIV_HEADER = struct.Struct("<4sIQQI")  # magic, version, limit, entry count, crc32 of body
+LSIV_VERSION = 3
+# magic, version, limit, entry count, crc32; native byte order, as the
+# body is, so a file from a host of the other order fails the version
+_LSIV_HEADER = struct.Struct("=4sIQQI")
+
+
+def _lsiv_crc(limit: int, count: int, body) -> int:
+    """CRC-32 of the limit and entry count, then of the body: a corrupt
+    limit would let a sieve stand in for one that covers more."""
+    return zlib.crc32(body, zlib.crc32(struct.pack("=QQ", limit, count)))
 
 
 def save_sieve(sieve: LambdaSieve, path: str) -> None:
     """Cache file: header {magic "LSIV", version u32, limit u64, entry
-    count u64, crc32 of the body u32} then the ascending (prime_power
-    u64, prime u64) pairs.  Written to a temporary file and renamed into
-    place, so a reader never sees a partial file."""
-    body = b"".join(struct.pack("<QQ", pp, p) for pp, p in sieve.entries)
-    header = _LSIV_HEADER.pack(LSIV_MAGIC, LSIV_VERSION, sieve.limit,
-                               len(sieve.entries), zlib.crc32(body))
+    count u64, crc32 of limit, count and body u32} then the body, the
+    ascending prime powers as u64, all in the host's byte order.  Written
+    to a temporary file and renamed into place, so a reader never sees a
+    partial file."""
+    count = len(sieve.entries)
+    header = _LSIV_HEADER.pack(LSIV_MAGIC, LSIV_VERSION, sieve.limit, count,
+                               _lsiv_crc(sieve.limit, count, sieve.entries))
     tmp = "%s.%d.tmp" % (path, os.getpid())
     with open(tmp, "wb") as fh:
-        fh.write(header + body)
+        fh.write(header)
+        sieve.entries.tofile(fh)
     os.replace(tmp, path)
 
 
@@ -374,7 +391,9 @@ def load_sieve(path: str) -> LambdaSieve:
     _, version, limit, count, crc = _LSIV_HEADER.unpack_from(blob)
     if version != LSIV_VERSION:
         raise DomainError("unsupported LSIV version %d" % version)
-    body = blob[_LSIV_HEADER.size:]
-    if len(body) != 16 * count or zlib.crc32(body) != crc:
+    body = memoryview(blob)[_LSIV_HEADER.size:]
+    if len(body) != 8 * count or _lsiv_crc(limit, count, body) != crc:
         raise DomainError("truncated or corrupt LSIV file: %r" % (path,))
-    return LambdaSieve(limit, list(struct.iter_unpack("<QQ", body)))
+    entries = array("Q")
+    entries.frombytes(body)
+    return LambdaSieve(limit, entries)

@@ -4,9 +4,11 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -249,6 +251,20 @@ def test_truncated_sieve_cache_fails(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error" in json.loads(err)
+
+
+def test_version_2_sieve_cache_fails(tmp_path):
+    # the former format: (prime power, prime) u64 pairs after a version-2
+    # header; only version 3 is read
+    pairs = [(2, 2), (3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3)]
+    body = b"".join(struct.pack("<QQ", pp, p) for pp, p in pairs)
+    cache = tmp_path / "sieve.bin"
+    cache.write_bytes(struct.pack("<4sIQQI", b"LSIV", 2, 10, len(pairs), zlib.crc32(body))
+                      + body)
+    proc = run_process(["-m", "cancelsum.cli", "psi-sum", "--x", "4", "--T", "1",
+                        "--sieve-cache", str(cache)])
+    assert_one_error_line(proc, 2)
+    assert "version 2" in json.loads(proc.stderr)["error"]
 
 
 # ---------------------------------------------------------------------------

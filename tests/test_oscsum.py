@@ -10,6 +10,7 @@ from cancelsum import (DegenerateFitError, DomainError, EmptyRangeError,
                        complex_exp_kernel, delta, empirical_exponent,
                        exp_sqrt_kernel, maximize_delta, pentagonal_form,
                        power_kernel, rademacher_kernel, square_form)
+from cancelsum import oscsum
 from cancelsum.numerics import to_mpf_exact
 from cancelsum.partition import growth_p1, growth_p3, partition_exact
 
@@ -198,6 +199,16 @@ def test_single_term_window(ctx192):
     with ctx192.workprec():
         want = mp.exp(mp.sqrt(mpf(3) / 2)) - mp.exp(mp.sqrt(mpf(1) / 2))
         assert abs(rep.value - want) < mpf(2) ** -150
+
+
+def test_interleaved_order():
+    # every index once, by distance from the start (0 clipped into the
+    # range), the upper of each pair first
+    for lo in range(-12, 14):
+        for hi in range(lo, 14):
+            start = min(max(0, lo), hi)
+            want = sorted(range(lo, hi + 1), key=lambda n: (abs(n - start), n < start))
+            assert list(oscsum._interleaved(lo, hi)) == want, (lo, hi)
 
 
 def test_precision_error_on_low_bits():

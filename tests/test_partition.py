@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 from cancelsum import (DomainError, ExactPartitionTable, ResourceError, p1, p2, p3,
                        p4, partition_exact, pentagonal, pnt_checksum)
@@ -123,3 +125,10 @@ def test_p_kernels_reject_bad_x(ctx192):
         p1(0, ctx192)
     with pytest.raises(DomainError):
         p3(2.5, ctx192)  # sign factor defined at integers only
+    for bad in (True, False, "3", -3, 0.0, Fraction(5, 2), mpf("3.5"), mpf(0),
+                float("inf"), mpf("nan"), None):
+        with pytest.raises(DomainError):
+            p3(bad, ctx192)
+    # an exactly integral rational, float or mpf is that integer
+    for same in (3.0, Fraction(6, 2), mpf(3)):
+        assert p3(same, ctx192) == p3(3, ctx192)

@@ -1,5 +1,8 @@
 import math
 import random
+import struct
+import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -9,9 +12,8 @@ from cancelsum import (DomainError, LambdaSieve, PrecisionContext,
                        ResourceError, build_sieve, coefficients_value,
                        interval_union_measure, lambda_coefficients,
                        load_sieve, nstr_for_bits, psi, psi_interval_half,
-                       psi_weak_pentagonal, save_sieve, threshold_psi,
-                       to_fraction_exact)
-from cancelsum import primes
+                       psi_weak_pentagonal, save_sieve, to_fraction_exact)
+from cancelsum import oscsum, primes
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +41,14 @@ def bool_prime_sieve(limit: int) -> bytearray:
 # sieve structure
 
 
+def pairs(sieve):
+    return list(zip(sieve.entries, sieve.primes()))
+
+
 def test_prime_powers_to_ten():
     sieve = build_sieve(10)
-    assert sieve.entries == [(2, 2), (3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3)]
+    assert sieve.entries == array("Q", [2, 3, 4, 5, 7, 8, 9])
+    assert pairs(sieve) == [(2, 2), (3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3)]
 
 
 def test_sieve_against_independent_oracle():
@@ -58,11 +65,11 @@ def test_sieve_against_independent_oracle():
     # every limit, so each square and higher power p^k = limit, where
     # isqrt(limit) admits a new prime to the power loop, is an edge
     for n in range(2, limit + 1):
-        assert build_sieve(n).entries == [e for e in oracle if e[0] <= n]
+        assert pairs(build_sieve(n)) == [e for e in oracle if e[0] <= n]
 
 
 def test_prime_count_million(sieve1m):
-    assert sum(1 for pp, p in sieve1m.entries if pp == p) == 78498
+    assert sum(1 for pp, p in pairs(sieve1m) if pp == p) == 78498
     assert sum(bool_prime_sieve(1_000_000)) == 78498
 
 
@@ -124,7 +131,7 @@ def test_psi_million_against_fsum(sieve1m, ctx128):
     # more bits; 78,498 primes fold the product many times over
     got = psi(10 ** 6, sieve1m, ctx128)
     with mp.workprec(ctx128.bits + ctx128.guard_bits + 64):
-        want = mp.fsum(mp.log(p) for _, p in sieve1m.entries)
+        want = mp.fsum(mp.log(p) for p in sieve1m.primes())
         assert abs(got - want) <= mpf(2) ** -(ctx128.bits - 8) * want
 
 
@@ -145,12 +152,13 @@ def test_weak_sum_single_term(sieve600, ctx192):
     # x*T = 1 keeps only l = 0, so the sum is psi(e^sqrt(40)) itself
     rep = psi_weak_pentagonal(40, Fraction(1, 40), sieve600, ctx192)
     assert rep.term_count == 1
-    full = threshold_psi(40, Fraction(1, 40), 0, sieve600, ctx192)
+    (cut,) = primes._cutoffs(40, Fraction(1, 40), sieve600)
+    full = psi(cut, sieve600, ctx192)
     with ctx192.workprec():
         # coefficient path and prefix path accumulate logs in different
         # orders, so agreement is to accumulation tolerance only
         assert abs(rep.value.real - full) <= full * mpf(2) ** -(192 - 16)
-    # e^sqrt(40) = 557.83, and 557 is the last prime power below it
+    # e^sqrt(40) = 558.11, and 557 is the last prime power below it
     assert psi(557, sieve600, ctx192) == full
 
 
@@ -205,7 +213,7 @@ def _class_map(sieve):
     # classes with |c| >= 2 whose small terms make the class order matter
     # to the rounding of the total
     rng = random.Random(2718)
-    coeff = {p: rng.choice((-1, -1, 1, 1, 1, 2)) for pp, p in sieve.entries if pp == p}
+    coeff = {p: rng.choice((-1, -1, 1, 1, 1, 2)) for pp, p in pairs(sieve) if pp == p}
     coeff.update({3: 7, 5: -9, 7: 11, 11: -5, 13: 13, 17: -17})
     return coeff
 
@@ -281,7 +289,7 @@ def test_interval_half_bridge_odd_L(sieve600, ctx192):
     with ctx192.workprec():
         bridge = -weak.value.real / 2 - rep.boundary
         assert abs((rep.lhs - rep.rhs) - bridge) <= rep.psi_full * mpf(2) ** -(192 - 16)
-        assert rep.boundary == threshold_psi(40, 10, 19, sieve600, ctx192)
+        assert rep.boundary == psi(primes._cutoffs(40, 10, sieve600)[19], sieve600, ctx192)
 
 
 def test_interval_half_telescoping_complement(sieve600, ctx192):
@@ -290,41 +298,48 @@ def test_interval_half_telescoping_complement(sieve600, ctx192):
     x, T = 40, 3000
     rep = psi_interval_half(x, T, sieve600, ctx192)
     L = rep.ell_max
+    psi_at = [psi(n, sieve600, ctx192) for n in primes._cutoffs(x, T, sieve600)]
     with ctx192.workprec():
         complement = mpf(0)
         for l in range(1, (L - 1) // 2 + 1):
-            complement += (threshold_psi(x, T, 2 * l, sieve600, ctx192) -
-                           threshold_psi(x, T, 2 * l + 1, sieve600, ctx192))
+            complement += psi_at[2 * l] - psi_at[2 * l + 1]
         total = rep.lhs + complement
-        want = (threshold_psi(x, T, 1, sieve600, ctx192) -
-                threshold_psi(x, T, L, sieve600, ctx192))
+        want = psi_at[1] - psi_at[L]
         assert abs(total - want) <= rep.psi_full * mpf(2) ** -(192 - 16)
 
 
-def test_threshold_psi_near_tie(sieve1m, ctx128):
+def test_cutoff_near_tie(sieve1m):
     # t within 2^-400 of (log n)^2: e^sqrt(t) sits just below or just
     # above the prime n, far inside any rounding of (log n)^2 at 128 bits
     n = 999983
     with mp.workprec(2000):
         lg2 = to_fraction_exact(mp.log(n) ** 2)
     eps = Fraction(1, 2 ** 400)
-    assert threshold_psi(lg2 - eps, 1, 0, sieve1m, ctx128) == psi(n - 1, sieve1m, ctx128)
-    assert threshold_psi(lg2 + eps, 1, 0, sieve1m, ctx128) == psi(n, sieve1m, ctx128)
+    assert primes._cutoffs(lg2 - eps, 1, sieve1m)[0] == n - 1
+    assert primes._cutoffs(lg2 + eps, 1, sieve1m)[0] == n
 
 
-def test_threshold_psi_against_floor_oracle(sieve600, ctx192):
+def test_cutoffs_against_floor_oracle(sieve600):
     # every cutoff of (40, 3000) against floor(e^sqrt(40 - j^2/3000)) at 256 bits
-    for j in range(347):
-        with mp.workprec(256):
-            n = int(mp.floor(mp.exp(mp.sqrt(40 - mpf(j * j) / 3000))))
-        assert threshold_psi(40, 3000, j, sieve600, ctx192) == psi(n, sieve600, ctx192)
+    with mp.workprec(256):
+        want = [int(mp.floor(mp.exp(mp.sqrt(40 - mpf(j * j) / 3000)))) for j in range(347)]
+    assert primes._cutoffs(40, 3000, sieve600) == want
 
 
-def test_threshold_psi_validation(sieve600, ctx192):
+def test_ell_max_is_the_square_form_range():
+    # L^2 < xT strictly; ResourceError exactly when 4xT > MAX_INDEX_RANGE^2,
+    # the root gap bound index_range applies to every form
+    assert primes._ell_max(40, 10) == 19
+    assert primes._ell_max(Fraction(401, 10), 10) == 20
+    assert primes._ell_max(1, 1) == 0
+    edge = Fraction(oscsum.MAX_INDEX_RANGE ** 2, 4)
+    assert primes._ell_max(edge, 1) == oscsum.MAX_INDEX_RANGE // 2 - 1
+    with pytest.raises(ResourceError):
+        primes._ell_max(edge + Fraction(1, 10 ** 9), 1)
     with pytest.raises(DomainError):
-        threshold_psi(40, 3000, 347, sieve600, ctx192)
+        primes._ell_max(1, Fraction(99, 100))
     with pytest.raises(DomainError):
-        threshold_psi(40, 3000, -1, sieve600, ctx192)
+        primes._ell_max(1, 0)
 
 
 def test_interval_union_measure(ctx192):
@@ -369,6 +384,7 @@ def test_lsiv_roundtrip(tmp_path, sieve600):
     loaded = load_sieve(path)
     assert loaded.limit == sieve600.limit
     assert loaded.entries == sieve600.entries
+    assert pairs(loaded) == pairs(sieve600)
 
 
 def test_lsiv_bad_magic(tmp_path):
@@ -394,8 +410,8 @@ def test_lsiv_truncated_at_every_record_boundary(tmp_path):
     path = str(tmp_path / "t.lsiv")
     save_sieve(sieve, path)
     blob = open(path, "rb").read()
-    header = len(blob) - 16 * len(sieve.entries)
-    cuts = list(range(header)) + [header + 16 * k for k in range(len(sieve.entries))]
+    header = len(blob) - 8 * len(sieve.entries)
+    cuts = list(range(header)) + [header + 8 * k for k in range(len(sieve.entries))]
     for cut in cuts:
         with open(path, "wb") as fh:
             fh.write(blob[:cut])
@@ -411,4 +427,33 @@ def test_lsiv_flipped_byte(tmp_path, sieve600):
     with open(path, "wb") as fh:
         fh.write(blob)
     with pytest.raises(DomainError):
+        load_sieve(path)
+
+
+def test_lsiv_corrupt_limit(tmp_path, sieve600):
+    # the checksum covers the limit too: a limit raised from 600 to 1,624
+    # would pass this sieve off as covering psi-sum --x 50's cutoffs
+    path = str(tmp_path / "h.lsiv")
+    save_sieve(sieve600, path)
+    blob = open(path, "rb").read()
+    fields = list(primes._LSIV_HEADER.unpack_from(blob))
+    fields[2] += 1024
+    with open(path, "wb") as fh:
+        fh.write(primes._LSIV_HEADER.pack(*fields) + blob[primes._LSIV_HEADER.size:])
+    with pytest.raises(DomainError):
+        load_sieve(path)
+
+
+def test_lsiv_header_in_other_byte_order(tmp_path, sieve600):
+    # the header and body are in the writing host's byte order; a file
+    # from a host of the other order fails the version check
+    path = str(tmp_path / "o.lsiv")
+    save_sieve(sieve600, path)
+    blob = open(path, "rb").read()
+    size = primes._LSIV_HEADER.size
+    fields = primes._LSIV_HEADER.unpack_from(blob)
+    other = ">" if sys.byteorder == "little" else "<"
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(other + "4sIQQI", *fields) + blob[size:])
+    with pytest.raises(DomainError, match="version"):
         load_sieve(path)
