@@ -499,6 +499,55 @@ def test_contour_check_json_keys(capsys):
     assert len(row["leg_mags"]) == 4
 
 
+_CONTOUR_HEADER = "x,u,quad_re,quad_im,discrete_re,discrete_im,rel_err,leg1,leg2,leg3,leg4"
+
+
+@pytest.mark.parametrize("args,fields", [
+    (["--x", "49", "--kernel", "exp_sqrt", "--c", "growth-p1", "--form", "pentagonal"], [
+        "49.0", "1", "0.0",
+        "3520.311921062309275758991612914575493052442872059574325938962177271582189216544066939749624670687468",
+        "0.0",
+        "3520.311921062309275829744486224522638331100968173127038118860686835305539108481451682162814249862244",
+        "2.0098467095096608e-20",
+        "4912.495941902060710032193321739148443725865096504510888110754726306260874809162569815023507991825374",
+        "2659.229846518002687582720072550796571245479076127002072291649624890760923182323627981384400028117133",
+        "4912.495941902060710032193321739148443725865096504510888110754726306260874809162569815023507991825374",
+        "2355.047714163035621402279791690135117457880675883819767717038089546704389891737464342896336078030600",
+    ]),
+    (["--x", "100", "--kernel", "complex_exp", "--alpha", "1", "--beta", "10", "--T", "100",
+      "--form", "square"], [
+        "100.0", "1",
+        "-998.2215686478611266725382276385354520283661713194408447889903753263380570249572704794738482438054058",
+        "-424.4458368983210816310286904856666704081639961077924389711707009782876611879060308400294634793421462",
+        "-998.2215686478611266725392969542546553768956885067394074883179981964272148147589685914570541766719110",
+        "-424.4458368983210816310284352054144898315476666408835825927551366926120732107179912531849256344410883",
+        "1.0135087611269228e-24",
+        "20.17604200809035589407381371345133405146025325475761731992580991257582291022146144302299148732803965",
+        "526.9693428584381291911524279078461792629642298124865080757879086012751446471655186106075583843080525",
+        "20.17604200809035589407381371345133405146025325475761731992580991257582291022146144302299148732803965",
+        "526.9693428584381291911524279078461792629642298124865080757879086012751446471655186106075583843080525",
+    ]),
+    (["--x", "30", "--kernel", "power", "--k-half", "3", "--form", "square"], [
+        "30.0", "1", "0.0",
+        "565.4866776461627829232760985858945004444838003973504177288083039045062866892564007720754625422439770",
+        "0.0",
+        "565.4866776461627829232758089903105191554904918875190477754900266154069531315176197530462685615810722",
+        "5.121174298689583e-25",
+        "0.03470797934744760200993722627581106319426397783693421509933261887236684820886497156335329788714949645",
+        "282.7086308437339438596281120666714391590476362208382746493048193333807764964193354144743779732348390",
+        "0.03470797934744760200993722627581106319426397783693421509933261887236684820886497156335329788714949645",
+        "282.7086308437339438596281120666714391590476362208382746493048193333807764964193354144743779732348390",
+    ]),
+], ids=["exp_sqrt-pentagonal-x49", "complex_exp-square-x100", "power-square-x30"])
+def test_contour_check_stdout_pinned(capsys, args, fields):
+    # every digit of the quadrature, its legs and rel_err, as first
+    # recorded: a change to how the integrand or a panel is evaluated
+    # must leave them bit for bit, on the real, odd and real-odd paths
+    code, out, err = run(["contour-check", "--bits", "320"] + args, capsys)
+    assert (code, err) == (0, "")
+    assert out == _CONTOUR_HEADER + "\n" + ",".join(fields) + "\n"
+
+
 # Minimal valid arguments of each subcommand.  Only parsing runs here.
 _VALID = {
     "pnt-verify": ["--x-max", "5"],
