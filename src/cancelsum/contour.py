@@ -56,15 +56,32 @@ tol 1e-14, |Im U| was at least 0.2 |U| on the pentagonal contours at
 x = 48, 99 and 402 and the square one at x = 50, and every rebuilt leg
 was within a relative 6e-18 of its value at tol 1e-40, the four-leg
 integration's own worst.
+
+The integrand and each panel's sum run on mpmath's raw _mpc_ pairs
+(mpmath.libmp): each step is the libmp call, at the same precision and
+rounding "n", that the mpc and mpf operators of pi K(x - q(z)) /
+sin(pi z) and of s += w f(mid + half t) make, so every value is theirs
+bit for bit, without an object or a type dispatch per operation.
+sin(pi z) is mpc_sin's own formula, sin a cosh b + i cos a sinh b at
+prec + 6 bits and two rounded products.  Along a horizontal leg Im(pi z)
+is exactly the same at every node (the panel's midpoint keeps the leg's
+height and its half-width has imaginary part 0), along a vertical leg
+Re(pi z) is; so the half a leg holds fixed, cosh/sinh or cos/sin, is
+computed once per leg through a cache keyed on its exact argument and
+precision, and a hit returns the bits a miss computes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (fzero, from_int, mpc_abs, mpc_add, mpc_add_mpf, mpc_div,
+                          mpc_div_mpf, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_sin, mpc_sub,
+                          mpf_cos_sin, mpf_cosh_sinh, mpf_gt, mpf_mul)
 
 from .errors import DomainError, QuadratureError, ResourceError
 from .numerics import PrecisionContext, nstr_for_bits, to_mpf_exact
@@ -76,7 +93,31 @@ MAX_INITIAL_PANELS = 200_000  # per leg; each panel costs 32 evaluations
 
 _node_cache: dict[tuple[int, int], tuple] = {}
 
-Integrand = Callable[[mpc], mpc]
+# An integrand maps a point z, as mpmath's raw _mpc_ pair, to the pair of
+# f(z); it runs at the working precision it was built for.
+Integrand = Callable[[tuple], tuple]
+
+_ZERO = (fzero, fzero)
+_TWO = from_int(2)
+
+# The two halves of sin(a + bi) = sin a cosh b + i cos a sinh b, each
+# keyed on its exact argument and precision; a leg holds one of a, b
+# fixed (module docstring), so that half is computed once per leg.
+_cos_sin = lru_cache(maxsize=1)(mpf_cos_sin)
+_cosh_sinh = lru_cache(maxsize=1)(mpf_cosh_sinh)
+
+
+def _sin(z: tuple, prec: int) -> tuple:
+    """mpc_sin(z, prec, "n") bit for bit: its formula at prec + 6 bits,
+    each transcendental half through its one-entry cache; mpc_sin itself
+    when a component is zero."""
+    a, b = z
+    if a == fzero or b == fzero:
+        return mpc_sin(z, prec, "n")
+    wp = prec + 6
+    c, s = _cos_sin(a, wp)
+    ch, sh = _cosh_sinh(b, wp)
+    return mpf_mul(s, ch, prec, "n"), mpf_mul(c, sh, prec, "n")
 
 
 def _legendre_newton(npts: int, x):
@@ -214,14 +255,18 @@ class QuadratureResult:
         return tuple(abs(v) for v in self.leg_values)
 
 
-def _panel(f: Integrand, za: mpc, zb: mpc) -> mpc:
-    """The 32-point Gauss-Legendre value of one panel."""
-    mid = (za + zb) / 2
-    half = (zb - za) / 2
-    s = mpc(0)
-    for t, w in gauss_legendre_nodes(32):
-        s += w * f(mid + half * t)
-    return half * s
+def _panel(f: Integrand, za: tuple, zb: tuple, nodes: tuple, prec: int) -> tuple:
+    """The 32-point Gauss-Legendre value of the panel za -> zb on _mpc_
+    pairs: the libmp calls of mid + half * t, s += w * f(...) and
+    half * s, with mid = (za + zb) / 2 and half = (zb - za) / 2, over
+    nodes as (t, w) mpf pairs."""
+    mid = mpc_div_mpf(mpc_add(za, zb, prec, "n"), _TWO, prec, "n")
+    half = mpc_div_mpf(mpc_sub(zb, za, prec, "n"), _TWO, prec, "n")
+    s = _ZERO
+    for t, w in nodes:
+        fz = f(mpc_add(mid, mpc_mul_mpf(half, t, prec, "n"), prec, "n"))
+        s = mpc_add(s, mpc_mul_mpf(fz, w, prec, "n"), prec, "n")
+    return mpc_mul(half, s, prec, "n")
 
 
 def _initial_panels(z0: mpc, z1: mpc) -> int:
@@ -245,27 +290,33 @@ def _leg_integral(f: Integrand, z0: mpc, z1: mpc, tol: mpf,
     docstring); converged when two successive sweep totals agree to tol
     relative.  A sweep splits the panels whose halves estimate (None
     before their first split) exceeds their share of tol, or every panel
-    when none does."""
+    when none does.  Panels, their values and their estimates are raw
+    libmp values, the sweep totals mpc; each rounds as the mpc operators
+    would."""
     n0 = _initial_panels(z0, z1)
-    step = (z1 - z0) / n0
+    prec = mp.prec
+    nodes = tuple((t._mpf_, w._mpf_) for t, w in gauss_legendre_nodes(32))
+    start, step = z0._mpc_, ((z1 - z0) / n0)._mpc_
     panels = []
     for i in range(n0):
-        za, zb = z0 + step * i, z0 + step * (i + 1)
-        panels.append((za, zb, _panel(f, za, zb), None))
+        za = mpc_add(start, mpc_mul_int(step, i, prec, "n"), prec, "n")
+        zb = mpc_add(start, mpc_mul_int(step, i + 1, prec, "n"), prec, "n")
+        panels.append((za, zb, _panel(f, za, zb, nodes, prec), None))
     evals = 32 * n0
-    floor = scale_hint * mpf(2) ** (16 - mp.prec)
+    floor = scale_hint * mpf(2) ** (16 - prec)
     s_prev = None
     for level in range(MAX_REFINEMENT_LEVELS + 1):
-        s = mpc(0)
+        total = _ZERO
         for p in panels:
-            s += p[2]
+            total = mpc_add(total, p[2], prec, "n")
+        s = mp.make_mpc(total)
         if s_prev is not None and abs(s - s_prev) <= tol * max(abs(s), abs(s_prev), floor):
             return s, evals, level
         s_prev = s
         if level == MAX_REFINEMENT_LEVELS:
             break
-        threshold = tol * max(abs(s), floor) / (8 * len(panels))
-        split = [err is None or err > threshold for _, _, _, err in panels]
+        threshold = (tol * max(abs(s), floor) / (8 * len(panels)))._mpf_
+        split = [err is None or mpf_gt(err, threshold) for _, _, _, err in panels]
         if not any(split):
             split = [True] * len(panels)
         refined = []
@@ -273,9 +324,9 @@ def _leg_integral(f: Integrand, z0: mpc, z1: mpc, tol: mpf,
             if not do_split:
                 refined.append((za, zb, val, err))
                 continue
-            zm = (za + zb) / 2
-            left, right = _panel(f, za, zm), _panel(f, zm, zb)
-            err = abs(val - (left + right))
+            zm = mpc_div_mpf(mpc_add(za, zb, prec, "n"), _TWO, prec, "n")
+            left, right = _panel(f, za, zm, nodes, prec), _panel(f, zm, zb, nodes, prec)
+            err = mpc_abs(mpc_sub(val, mpc_add(left, right, prec, "n"), prec, "n"), prec, "n")
             refined.append((za, zm, left, err))
             refined.append((zm, zb, right, err))
             evals += 64
@@ -393,18 +444,28 @@ class ResidueReport:
 
 def kernel_integrand(kernel: KernelSpec, q: QuadraticForm, x,
                      ctx: PrecisionContext) -> Integrand:
-    """z -> pi K(x - q(z)) / sin(pi z), to be called inside
-    ctx.workprec().  x, the coefficients of q, pi and the kernel's
-    constants are rounded once, at the working precision every
-    quadrature evaluation runs at."""
+    """z -> pi K(x - q(z)) / sin(pi z) on _mpc_ pairs, at ctx's working
+    precision.  x, the coefficients of q, pi and the kernel's constants
+    are rounded once, at that precision.  Each step makes the libmp call
+    that the mpc operators of pi * K(x - (a*z*z + b*z + d)) /
+    mp.sin(pi*z) make, rounded "n", so every value is theirs bit for
+    bit; sin goes through _sin."""
     if kernel.bind_complex is None:
         raise DomainError("kernel family %r has no complex continuation" % (kernel.family,))
     with ctx.workprec():
-        xv = to_mpf_exact(x)
-        a, b, d = to_mpf_exact(q.a), to_mpf_exact(q.b), to_mpf_exact(q.d)
-        pi = +mp.pi
+        xv = to_mpf_exact(x)._mpf_
+        a, b, d = (to_mpf_exact(v)._mpf_ for v in (q.a, q.b, q.d))
+        pi = (+mp.pi)._mpf_
         K = kernel.bind_complex(ctx)
-    return lambda z: pi * K(xv - (a * z * z + b * z + d)) / mp.sin(pi * z)
+        prec = mp.prec
+
+    def f(z: tuple) -> tuple:
+        az2 = mpc_mul(mpc_mul_mpf(z, a, prec, "n"), z, prec, "n")
+        qz = mpc_add_mpf(mpc_add(az2, mpc_mul_mpf(z, b, prec, "n"), prec, "n"), d, prec, "n")
+        num = mpc_mul_mpf(K(mpc_sub((xv, fzero), qz, prec, "n")), pi, prec, "n")
+        return mpc_div(num, _sin(mpc_mul_mpf(z, pi, prec, "n"), prec), prec, "n")
+
+    return f
 
 
 def residue_identity_check(kernel: KernelSpec, q: QuadraticForm, x, u,

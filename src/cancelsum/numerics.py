@@ -123,12 +123,13 @@ def bessel_i(alpha: int, z, ctx: PrecisionContext) -> mpf:
 
 def complex_sqrt_principal(w) -> mpc:
     """Principal square root: the root with Re >= 0; if Re = 0, the one
-    with Im >= 0.  Implements the branch with the cut off the contour
-    legs (the contour module is responsible for placement)."""
-    s = mp.sqrt(mpc(w))
-    if s.real < 0 or (s.real == 0 and s.imag < 0):
-        s = -s
-    return s
+    with Im >= 0.  mpmath's mpc_sqrt is already this branch: off the
+    real axis its real part is sqrt((|w| + Re w)/2) or |Im w| /
+    sqrt(2 (|w| - Re w)), both > 0; on it, a negative w gives
+    (0, sqrt(-w)); and mpmath has no signed zero.  The cut lies on the
+    negative reals, off the contour legs (the contour module is
+    responsible for placement)."""
+    return mp.sqrt(mpc(w))
 
 
 def to_mpf_exact(value) -> mpf:

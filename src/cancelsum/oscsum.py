@@ -30,13 +30,13 @@ from math import sqrt
 from typing import Callable, Optional, Union
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpc_exp, mpc_mul, mpc_mul_mpf, mpc_pow_mpf, mpc_sqrt
 
 from . import partition
 from .errors import (DegenerateFitError, DomainError, EmptyRangeError, PrecisionError,
                      ResourceError)
-from .numerics import (PrecisionContext, bessel_i, complex_sqrt_principal,
-                       nstr_for_bits, rate_value, required_bits,
-                       to_fraction_exact as _to_fraction, to_mpf_exact)
+from .numerics import (PrecisionContext, bessel_i, nstr_for_bits, rate_value,
+                       required_bits, to_fraction_exact as _to_fraction, to_mpf_exact)
 
 Rational = Union[int, Fraction]
 
@@ -139,7 +139,10 @@ class KernelSpec:
     inside ctx.workprec(), each rounds the kernel's constants once and
     returns a function that runs at that precision: y -> K(y) at a
     nonnegative rational y, respectively w -> K(w) at a complex point
-    w = x - q(z) during contour checks.  bind_complex is None when the
+    w = x - q(z) during contour checks.  The complex function takes and
+    returns mpmath's raw `_mpc_` pairs and makes the same mpmath.libmp
+    calls, rounded "n", as the mpc operators it stands for, so its
+    values are theirs bit for bit.  bind_complex is None when the
     family has no complex continuation wired up.
     """
 
@@ -158,8 +161,13 @@ def _exp_sqrt_family(family: str, growth, real: bool, exponent) -> KernelSpec:
         return lambda y: mp.exp(s * mp.sqrt(to_mpf_exact(y)))
 
     def bind_complex(ctx):
-        s = exponent()
-        return lambda w: mp.exp(s * complex_sqrt_principal(w))
+        # mp.exp(s * mp.sqrt(w)) on pairs; mpc_sqrt is the principal root
+        s, prec = exponent(), mp.prec
+        if isinstance(s, mpc):
+            s = s._mpc_
+            return lambda w: mpc_exp(mpc_mul(s, mpc_sqrt(w, prec, "n"), prec, "n"), prec, "n")
+        s = s._mpf_
+        return lambda w: mpc_exp(mpc_mul_mpf(mpc_sqrt(w, prec, "n"), s, prec, "n"), prec, "n")
 
     return KernelSpec(family, growth, real, bind_real, bind_complex)
 
@@ -204,8 +212,9 @@ def power_kernel(k_half) -> KernelSpec:
         return lambda y: zero if y == 0 else to_mpf_exact(y) ** e
 
     def bind_complex(ctx):
-        e = to_mpf_exact(exponent)
-        return lambda w: mpc(w) ** e
+        # mpc(w) ** e on pairs
+        e, prec = to_mpf_exact(exponent)._mpf_, mp.prec
+        return lambda w: mpc_pow_mpf(w, e, prec, "n")
 
     return KernelSpec("power", 0, True, bind_real, bind_complex)
 

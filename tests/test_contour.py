@@ -4,19 +4,23 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpc_sin
 
 from cancelsum import (DomainError, QuadraticForm, QuadratureError,
                        RectContour, ResourceError, build_contour,
-                       complex_exp_kernel, exp_sqrt_kernel,
+                       complex_exp_kernel, complex_sqrt_principal, exp_sqrt_kernel,
                        gauss_legendre_nodes, integrate_rectangle,
                        kernel_integrand, maximize_delta, pentagonal_form,
-                       power_kernel, residue_identity_check, square_form)
-from cancelsum.contour import MAX_INITIAL_PANELS, _initial_panels, _node_cache
+                       power_kernel, residue_identity_check, square_form,
+                       to_mpf_exact)
+from cancelsum.contour import (MAX_INITIAL_PANELS, _cos_sin, _cosh_sinh, _initial_panels,
+                               _node_cache, _sin)
 from cancelsum.partition import growth_p1
 
 
 def csc(z):
-    return 1 / mp.sin(mp.pi * z)
+    # integrands take and return raw _mpc_ pairs
+    return (1 / mp.sin(mp.pi * mp.make_mpc(z)))._mpc_
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +99,58 @@ def test_legs_counterclockwise_closed():
     (z0, z1) = legs[1]
     assert z0.real == z1.real == c.x_right
     assert z0.imag < z1.imag
+
+
+def _exp_of_sqrt(s):
+    return lambda w: mp.exp(s * complex_sqrt_principal(w))
+
+
+@pytest.mark.parametrize("kernel,q,x,object_kernel", [
+    (exp_sqrt_kernel(growth_p1), pentagonal_form(), 50, lambda: _exp_of_sqrt(growth_p1())),
+    (complex_exp_kernel(1, 10, 100), square_form(100), 100, lambda: _exp_of_sqrt(mpc(1, 10))),
+    (power_kernel(3), square_form(1), 30, lambda: lambda w: mpc(w) ** mpf(3)),
+], ids=["exp_sqrt", "complex_exp", "power"])
+def test_pair_integrand_is_the_object_formula(ctx320, kernel, q, x, object_kernel):
+    # at every node of a horizontal panel, of a vertical panel above the
+    # axis and of one across it, the pair integrand's bits are those of
+    # the mpc formula it stands for
+    f = kernel_integrand(kernel, q, x, ctx320)
+    c = build_contour(q, x, 1, ctx320)
+    with ctx320.workprec():
+        K, pi, xv = object_kernel(), +mp.pi, to_mpf_exact(x)
+        a, b, d = (to_mpf_exact(v) for v in (q.a, q.b, q.d))
+        xr, h = c.x_right, c.height_u
+        panels = ((mpc(xr, h), mpc(xr - 8, h)),
+                  (mpc(xr, h / 4), mpc(xr, h)),
+                  (mpc(xr, -h / 2), mpc(xr, h / 2)))
+        for za, zb in panels:
+            mid, half = (za + zb) / 2, (zb - za) / 2
+            for t, _ in gauss_legendre_nodes(32):
+                z = mid + half * t
+                want = pi * K(xv - (a * z * z + b * z + d)) / mp.sin(pi * z)
+                assert f(z._mpc_) == want._mpc_
+
+
+def test_cached_sin_half_is_mpc_sin():
+    # a horizontal run of points holds Im fixed, a vertical run Re: the
+    # first point of each run misses the fixed half's cache, the rest hit,
+    # and each gives mpc_sin's bits; so does a new precision, which misses
+    for prec in (352, 224):
+        with mp.workprec(prec):
+            _cos_sin.cache_clear()
+            _cosh_sinh.cache_clear()
+            fixed = mp.pi * mpf(7) / 3
+            horizontal = [mpc(mp.pi * k / 5, fixed)._mpc_ for k in (-3, -2, -1, 1, 2, 3)]
+            vertical = [mpc(fixed, mp.pi * k / 5)._mpc_ for k in (1, 2, 3, 4)]
+            for z in horizontal:
+                assert _sin(z, prec) == mpc_sin(z, prec, "n")
+            assert _cosh_sinh.cache_info()[:2] == (len(horizontal) - 1, 1)
+            for z in vertical:
+                assert _sin(z, prec) == mpc_sin(z, prec, "n")
+            assert _cos_sin.cache_info()[:2] == (len(vertical) - 1, len(horizontal) + 1)
+            # a zero component goes to mpc_sin itself
+            for z in (mpc(0, fixed), mpc(fixed, 0), mpc(0)):
+                assert _sin(z._mpc_, prec) == mpc_sin(z._mpc_, prec, "n")
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,35 @@ def test_interpolant_out_of_sample():
             assert poly.evaluate(M) == f_r_exact(M, r)
 
 
+def _degree(values: list) -> int:
+    """Exact forward differences of samples at consecutive integers
+    until the row is constant: the degree of their polynomial."""
+    degree = 0
+    while len(set(values)) > 1:
+        values = [b - a for a, b in zip(values, values[1:])]
+        degree += 1
+    return degree
+
+
+def test_abstract_identity_both_readings():
+    # sum_{|l|<=x} (4x^2 - 4l^2)^{2r} - sum_{|l|<x} (4x^2 - (2l+1)^2)^{2r}.
+    # As printed, the odd side leaves out 2l+1 = 1 - 2x, whose term is
+    # (4x - 1)^{2r}, and the difference has degree 2r.  Over every odd
+    # 2l+1 with |2l+1| < 2x it is f_{2r}(x), of degree 2r - 1: the
+    # reading criterion 04 checks.  (The even side's l = +-x terms are 0.)
+    for r in range(1, 5):
+        printed, every_odd = [], []
+        for x in range(1, 2 * r + 4):
+            even = sum((4 * x * x - 4 * l * l) ** (2 * r) for l in range(-x, x + 1))
+            odd_printed = sum((4 * x * x - (2 * l + 1) ** 2) ** (2 * r) for l in range(1 - x, x))
+            odd_all = sum((4 * x * x - j * j) ** (2 * r) for j in range(1 - 2 * x, 2 * x, 2))
+            printed.append(even - odd_printed)
+            every_odd.append(even - odd_all)
+            assert even - odd_all == f_r_exact(x, 2 * r)
+            assert even - odd_printed == f_r_exact(x, 2 * r) + (4 * x - 1) ** (2 * r)
+        assert (_degree(printed), _degree(every_odd)) == (2 * r, 2 * r - 1)
+
+
 def test_detect_degree_validation():
     with pytest.raises(DomainError):
         detect_degree(0)
