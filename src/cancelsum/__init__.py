@@ -2,7 +2,7 @@
 alternating sums over quadratic index sets.
 
 Submodules:
-  numerics   precision policy, Bessel I series, exact conversions
+  numerics   precision policy, exact conversions
   partition  exact partition table, pentagonal checksum, p1..p4 kernels
   oscsum     quadratic forms, kernel specs, alternating sums and bounds
   primes     prime-power sieve, Chebyshev psi sums, interval halving, LSIV files
@@ -14,16 +14,15 @@ Submodules:
 from .errors import (CancelsumError, DegenerateFitError, DegreeMismatchError,
                      DomainError, EmptyRangeError, PrecisionError,
                      QuadratureError, ResourceError)
-from .numerics import (PrecisionContext, bessel_i, complex_sqrt_principal,
-                       context_for, nstr_for_bits, rate_value, required_bits,
-                       to_fraction_exact, to_mpf_exact)
+from .numerics import (PrecisionContext, context_for, nstr_for_bits, rate_value,
+                       required_bits, to_fraction_exact, to_mpf_exact)
 from .partition import (ExactPartitionTable, p1, p2, p3, p4, partition_exact,
                         pentagonal, pnt_checksum)
 from .oscsum import (KernelSpec, QuadraticForm, SumReport, alternating_sum,
-                     bessel_kernel, bound_main1, bound_main2,
-                     complex_exp_kernel, delta, empirical_exponent,
-                     exp_sqrt_kernel, maximize_delta, pentagonal_form,
-                     power_kernel, rademacher_kernel, square_form)
+                     bound_main1, bound_main2, complex_exp_kernel, delta,
+                     empirical_exponent, exp_sqrt_kernel, maximize_delta,
+                     pentagonal_form, power_kernel, rademacher_kernel,
+                     square_form)
 from .primes import (IntervalHalfReport, LambdaSieve, build_sieve,
                      coefficients_value, interval_union_measure,
                      lambda_coefficients, load_sieve, psi,

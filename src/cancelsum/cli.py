@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -81,10 +80,10 @@ def _bits(text):
 
 @_input_parser
 def _x_grid(text: str) -> list:
-    """'geom:lo:hi:n' | 'lin:lo:hi:n' (rounded to integers) | 'a,b,c'."""
-    if not text.startswith(("geom:", "lin:")):
+    """'geom:lo:hi:n' (rounded to integers) | 'a,b,c'."""
+    if not text.startswith("geom:"):
         return [_number(v) for v in text.split(",")]
-    kind, lo_s, hi_s, n_s = text.split(":")
+    _, lo_s, hi_s, n_s = text.split(":")
     lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     if n < 1 or lo <= 0 or hi < lo:
         raise DomainError("needs n >= 1 and 0 < lo <= hi")
@@ -95,15 +94,8 @@ def _x_grid(text: str) -> list:
     pts = []
     for i in range(n):
         t = i / (n - 1)
-        v = lo * (hi / lo) ** t if kind == "geom" else lo + (hi - lo) * t
-        pts.append(int(round(v)))
+        pts.append(int(round(lo * (hi / lo) ** t)))
     return pts
-
-
-@_input_parser
-def _float_pair(text: str) -> tuple:
-    first, second = text.split(",")
-    return float(first), float(second)
 
 
 def _resolve_ctx(bits, x, rate) -> PrecisionContext:
@@ -120,7 +112,6 @@ _KERNELS = {
     "p1": _rademacher, "p2": _rademacher, "p3": _rademacher, "p4": _rademacher,
     "sqrt_p1": _rademacher,
     "exp_sqrt": lambda args: oscsum.exp_sqrt_kernel(args.c),
-    "bessel": lambda args: oscsum.bessel_kernel(args.alpha_order, args.c),
     "power": lambda args: oscsum.power_kernel(args.k_half),
     "complex_exp": lambda args: oscsum.complex_exp_kernel(args.alpha, args.beta, args.T),
 }
@@ -304,7 +295,7 @@ def cmd_contour_check(args) -> int:
     if bits is None:
         bits = max(320, required_bits(x, kernel.growth))
     ctx = PrecisionContext(bits=bits)
-    report = contour_mod.residue_identity_check(kernel, q, x, u, ctx, tol=args.tol)
+    report = contour_mod.residue_identity_check(kernel, q, x, u, ctx)
     row = report.to_json_dict()
     row["u"] = str(u)
     if args.format == "csv":
@@ -324,21 +315,13 @@ def cmd_contour_check(args) -> int:
 
 
 def cmd_exponent_fit(args) -> int:
+    kernel = _KERNELS[args.kernel](args)
+    q = _FORMS[args.form](args)
     samples = []
-    if args.synthetic is not None:
-        w_true, intercept = args.synthetic
-        try:
-            for x in args.x:
-                samples.append((float(x), math.exp(w_true * math.sqrt(float(x)) + intercept)))
-        except OverflowError:
-            raise DomainError("synthetic samples overflow a float") from None
-    else:
-        kernel = _KERNELS[args.kernel](args)
-        q = _FORMS[args.form](args)
-        for x in args.x:
-            ctx = _resolve_ctx(args.bits, x, kernel.growth)
-            report = oscsum.alternating_sum(kernel, q, x, ctx)
-            samples.append((float(x), report.abs_value))
+    for x in args.x:
+        ctx = _resolve_ctx(args.bits, x, kernel.growth)
+        report = oscsum.alternating_sum(kernel, q, x, ctx)
+        samples.append((float(x), report.abs_value))
     w_hat, intercept, rms = oscsum.empirical_exponent(samples)
     _emit([{"points": len(samples), "w_hat": repr(w_hat),
             "intercept": repr(intercept), "rms": repr(rms)}],
@@ -388,7 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def kernel(sp):
         sp.add_argument("--kernel", choices=_KERNELS, default="p2")
         sp.add_argument("--c", type=_rate, default="1")
-        sp.add_argument("--alpha-order", type=_int, default="0")
         sp.add_argument("--form", choices=_FORMS, default="pentagonal")
         for name, default in (("--k-half", "1"), ("--alpha", "1"), ("--beta", "0"),
                               ("--T", "1"), ("--a", "1"), ("--b", "0"), ("--d", "0")):
@@ -439,14 +421,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("contour-check", cmd_contour_check, precision=True)
     required(sp, "--x")
     sp.add_argument("--u", type=_number, default="1")
-    sp.add_argument("--tol", type=_number, default="1e-14")
     sp.add_argument("--max-rel-err", type=_number)
     kernel(sp)
 
     sp = add("exponent-fit", cmd_exponent_fit, precision=True)
     x_grid(sp)
     kernel(sp)
-    sp.add_argument("--synthetic", type=_float_pair, help="w,intercept")
 
     sp = add("pigeonhole", cmd_pigeonhole)
     required(sp, "--n", "--k", type=_int)

@@ -89,9 +89,10 @@ from .oscsum import KernelSpec, QuadraticForm, SumReport, alternating_sum
 
 MIN_SIN_CLEARANCE = mpf("1e-3")
 MAX_REFINEMENT_LEVELS = 20
-MAX_INITIAL_PANELS = 200_000  # per leg; each panel costs 32 evaluations
+MAX_INITIAL_PANELS = 200_000  # per leg; each panel costs NPTS evaluations
+NPTS = 32  # Gauss-Legendre points per panel
 
-_node_cache: dict[tuple[int, int], tuple] = {}
+_node_cache: dict[int, tuple] = {}
 
 # An integrand maps a point z, as mpmath's raw _mpc_ pair, to the pair of
 # f(z); it runs at the working precision it was built for.
@@ -120,26 +121,24 @@ def _sin(z: tuple, prec: int) -> tuple:
     return mpf_mul(s, ch, prec, "n"), mpf_mul(c, sh, prec, "n")
 
 
-def _legendre_newton(npts: int, x):
-    """One Newton step towards a root of P_npts from x, by the three-term
-    recurrence at the current precision: (new x, P_npts'(x))."""
+def _legendre_newton(x):
+    """One Newton step towards a root of P_NPTS from x, by the three-term
+    recurrence at the current precision: (new x, P_NPTS'(x))."""
     p0, p1 = 1, x
-    for j in range(2, npts + 1):
+    for j in range(2, NPTS + 1):
         p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    dp = npts * (x * p1 - p0) / (x * x - 1)
+    dp = NPTS * (x * p1 - p0) / (x * x - 1)
     return x - p1 / dp, dp
 
 
-def gauss_legendre_nodes(npts: int) -> tuple:
-    """Nodes and weights on [-1, 1] for an even npts at the current
-    working precision, cached per (npts, precision).  Newton iteration on
-    the Legendre recurrence: in floats to double accuracy, then one step
-    at each precision of a ladder that about doubles, then at the working
+def gauss_legendre_nodes() -> tuple:
+    """The NPTS nodes and weights on [-1, 1] at the current working
+    precision, cached per precision.  Newton iteration on the Legendre
+    recurrence: in floats to double accuracy, then one step at each
+    precision of a ladder that about doubles, then at the working
     precision plus 32 bits until a step moves the node by less than
     2^-(precision + 16); that step's derivative gives the weight."""
-    if npts < 2 or npts % 2:
-        raise DomainError("gauss_legendre_nodes needs an even npts >= 2, got %r" % (npts,))
-    key = (npts, mp.prec)
+    key = mp.prec
     cached = _node_cache.get(key)
     if cached is not None:
         return cached
@@ -150,21 +149,21 @@ def gauss_legendre_nodes(npts: int) -> tuple:
         prec = prec // 2 + 8
         ladder.append(prec)
     pairs = []
-    for i in range(1, npts // 2 + 1):
-        x = math.cos(math.pi * (i - 0.25) / (npts + 0.5))
+    for i in range(1, NPTS // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (NPTS + 0.5))
         for _ in range(8):
-            x_prev, x = x, _legendre_newton(npts, x)[0]
+            x_prev, x = x, _legendre_newton(x)[0]
             if abs(x - x_prev) < 1e-15:
                 break
         x = mpf(x)
         for prec in reversed(ladder):
             with mp.workprec(prec):
-                x = _legendre_newton(npts, x)[0]
+                x = _legendre_newton(x)[0]
         with mp.workprec(target):
             tol = mpf(2) ** (16 - target)
             for _ in range(200):
                 x_prev = x
-                x, dp = _legendre_newton(npts, x)
+                x, dp = _legendre_newton(x)
                 if abs(x - x_prev) < tol:
                     break
             w = 2 / ((1 - x * x) * dp * dp)
@@ -256,7 +255,7 @@ class QuadratureResult:
 
 
 def _panel(f: Integrand, za: tuple, zb: tuple, nodes: tuple, prec: int) -> tuple:
-    """The 32-point Gauss-Legendre value of the panel za -> zb on _mpc_
+    """The NPTS-point Gauss-Legendre value of the panel za -> zb on _mpc_
     pairs: the libmp calls of mid + half * t, s += w * f(...) and
     half * s, with mid = (za + zb) / 2 and half = (zb - za) / 2, over
     nodes as (t, w) mpf pairs."""
@@ -295,14 +294,14 @@ def _leg_integral(f: Integrand, z0: mpc, z1: mpc, tol: mpf,
     would."""
     n0 = _initial_panels(z0, z1)
     prec = mp.prec
-    nodes = tuple((t._mpf_, w._mpf_) for t, w in gauss_legendre_nodes(32))
+    nodes = tuple((t._mpf_, w._mpf_) for t, w in gauss_legendre_nodes())
     start, step = z0._mpc_, ((z1 - z0) / n0)._mpc_
     panels = []
     for i in range(n0):
         za = mpc_add(start, mpc_mul_int(step, i, prec, "n"), prec, "n")
         zb = mpc_add(start, mpc_mul_int(step, i + 1, prec, "n"), prec, "n")
         panels.append((za, zb, _panel(f, za, zb, nodes, prec), None))
-    evals = 32 * n0
+    evals = NPTS * n0
     floor = scale_hint * mpf(2) ** (16 - prec)
     s_prev = None
     for level in range(MAX_REFINEMENT_LEVELS + 1):
@@ -329,7 +328,7 @@ def _leg_integral(f: Integrand, z0: mpc, z1: mpc, tol: mpf,
             err = mpc_abs(mpc_sub(val, mpc_add(left, right, prec, "n"), prec, "n"), prec, "n")
             refined.append((za, zm, left, err))
             refined.append((zm, zb, right, err))
-            evals += 64
+            evals += 2 * NPTS
         panels = refined
     raise QuadratureError("leg quadrature did not converge after %d refinement levels"
                           % MAX_REFINEMENT_LEVELS)

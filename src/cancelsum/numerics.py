@@ -1,4 +1,4 @@
-"""Arbitrary-precision arithmetic policy and shared special functions.
+"""Arbitrary-precision arithmetic policy and exact conversions.
 
 Everything downstream sums quantities of size e^{c*sqrt(x)} that cancel
 down to e^{w*c*sqrt(x)} with w < 1, so the working precision must scale
@@ -10,9 +10,7 @@ which keeps at least 96 significant fractional bits (about 28 decimal
 digits) in the cancelled result at the scales this package targets.
 
 mpmath supplies the big-float type; this module owns the precision
-policy, the principal square root convention (Re >= 0, ties broken
-toward Im >= 0) and a direct-series Bessel I0/I1 used by the kernel
-modules.
+policy and the conversions between exact rationals and mpf.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 from mpmath.libmp import from_rational
 
 from .errors import DomainError, ResourceError
@@ -87,49 +85,6 @@ def rate_value(c) -> mpf:
     callable that returns the constant at the working precision, such
     as partition.growth_p1."""
     return c() if callable(c) else to_mpf_exact(c)
-
-
-def bessel_i(alpha: int, z, ctx: PrecisionContext) -> mpf:
-    """Modified Bessel I_alpha(z) for alpha in {0, 1}, z >= 0, by the
-    ascending series sum_m (z/2)^{2m+alpha} / (m! (m+alpha)!).
-
-    Terms are added until one falls below 2^-(bits+guard) relative to
-    the running partial sum.  Arguments stay moderate (z <= ~10^3) at
-    the scales used here, where the series is well conditioned because
-    every term is positive.
-    """
-    if alpha not in (0, 1):
-        raise DomainError("bessel_i supports alpha in {0, 1}, got %r" % (alpha,))
-    if z < 0:
-        raise DomainError("bessel_i needs z >= 0")
-    with ctx.workprec():
-        zz = mpf(z)
-        if zz == 0:
-            return mpf(1) if alpha == 0 else mpf(0)
-        half = zz / 2
-        # term at m=0: half^alpha / alpha!
-        term = half ** alpha if alpha else mpf(1)
-        total = term
-        eps = mpf(2) ** (-(ctx.bits + ctx.guard_bits))
-        m = 0
-        while True:
-            m += 1
-            term = term * half * half / (m * (m + alpha))
-            total += term
-            if term < eps * total:
-                break
-        return total
-
-
-def complex_sqrt_principal(w) -> mpc:
-    """Principal square root: the root with Re >= 0; if Re = 0, the one
-    with Im >= 0.  mpmath's mpc_sqrt is already this branch: off the
-    real axis its real part is sqrt((|w| + Re w)/2) or |Im w| /
-    sqrt(2 (|w| - Re w)), both > 0; on it, a negative w gives
-    (0, sqrt(-w)); and mpmath has no signed zero.  The cut lies on the
-    negative reals, off the contour legs (the contour module is
-    responsible for placement)."""
-    return mp.sqrt(mpc(w))
 
 
 def to_mpf_exact(value) -> mpf:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, zip_longest
-from math import sqrt
+from math import isqrt, lcm, sqrt
 from typing import Callable, Optional, Union
 
 from mpmath import mp, mpc, mpf
@@ -35,8 +35,8 @@ from mpmath.libmp import mpc_exp, mpc_mul, mpc_mul_mpf, mpc_pow_mpf, mpc_sqrt
 from . import partition
 from .errors import (DegenerateFitError, DomainError, EmptyRangeError, PrecisionError,
                      ResourceError)
-from .numerics import (PrecisionContext, bessel_i, nstr_for_bits, rate_value,
-                       required_bits, to_fraction_exact as _to_fraction, to_mpf_exact)
+from .numerics import (PrecisionContext, nstr_for_bits, rate_value, required_bits,
+                       to_fraction_exact as _to_fraction, to_mpf_exact)
 
 Rational = Union[int, Fraction]
 
@@ -77,26 +77,23 @@ class QuadraticForm:
     def index_range(self, x) -> tuple[int, int]:
         """Integer interval [n_lo, n_hi] where q(n) < x strictly;
         boundary integers with q(n) = x exactly are excluded; ResourceError
-        when the interval is wider than MAX_INDEX_RANGE."""
+        when the interval is wider than MAX_INDEX_RANGE.
+
+        Decided in integers: with denominators cleared, q(n) < x reads
+        A n^2 + B n + C < 0, that is (2 A n + B)^2 < disc = B^2 - 4 A C,
+        so |2 A n + B| <= s for the largest integer s with s^2 < disc."""
         xf = _to_fraction(x)
-        disc = self.b * self.b - 4 * self.a * (self.d - xf)
+        scale = lcm(self.a.denominator, self.b.denominator, (self.d - xf).denominator)
+        A, B, C = (int(v * scale) for v in (self.a, self.b, self.d - xf))
+        disc = B * B - 4 * A * C
         if disc <= 0:
             raise EmptyRangeError("no integer n satisfies q(n) < %s" % (x,))
-        if disc > (self.a * MAX_INDEX_RANGE) ** 2:  # root gap sqrt(disc)/a
+        if disc > (A * MAX_INDEX_RANGE) ** 2:  # root gap sqrt(disc)/A
             raise ResourceError("q(n) < %s spans more than %d indices" % (x, MAX_INDEX_RANGE))
-        sqrt_disc = float(disc) ** 0.5
-        lo = int((float(-self.b) - sqrt_disc) / (2 * float(self.a)))
-        hi = int((float(-self.b) + sqrt_disc) / (2 * float(self.a)))
-        while self.evaluate(lo - 1) < xf:
-            lo -= 1
-        while self.evaluate(lo) >= xf:
-            lo += 1
-            if lo > hi + 2:
-                raise EmptyRangeError("no integer n satisfies q(n) < %s" % (x,))
-        while self.evaluate(hi + 1) < xf:
-            hi += 1
-        while self.evaluate(hi) >= xf:
-            hi -= 1
+        s = isqrt(disc)
+        if s * s == disc:
+            s -= 1
+        lo, hi = -((s + B) // (2 * A)), (s - B) // (2 * A)
         if lo > hi:
             raise EmptyRangeError("no integer n satisfies q(n) < %s" % (x,))
         return lo, hi
@@ -188,18 +185,6 @@ def rademacher_kernel(name: str) -> KernelSpec:
         raise DomainError("unknown rademacher kernel %r" % (name,))
     func, growth = _RADEMACHER[name]
     return KernelSpec("rademacher", growth, True, lambda ctx: lambda y: func(y, ctx))
-
-
-def bessel_kernel(alpha: int, c) -> KernelSpec:
-    """kernel(y) = I_alpha(c sqrt(y))."""
-    if rate_value(c) <= 0:
-        raise DomainError("bessel kernel needs c > 0")
-
-    def bind_real(ctx):
-        cv = rate_value(c)
-        return lambda y: bessel_i(alpha, cv * mp.sqrt(to_mpf_exact(y)), ctx)
-
-    return KernelSpec("bessel", c, True, bind_real)
 
 
 def power_kernel(k_half) -> KernelSpec:

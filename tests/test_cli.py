@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from cancelsum.cli import _build_parser, main
+from cancelsum.cli import _FORMS, _KERNELS, _build_parser, _rate, main
+from cancelsum.numerics import PrecisionContext, required_bits
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -112,7 +113,6 @@ def test_resource_error_exit_3(capsys):
     ["osc-sum", "--x-grid", "geom:1:2"],
     ["bound", "--a", "-1", "--x", "10"],
     ["frm-degree", "--r", "0"],
-    ["exponent-fit", "--synthetic", "1000,0", "--x-grid", "lin:100:10000:3"],
     ["osc-sum", "--bogus", "1"],
     ["osc-sum", "--x", "10", "--format", "xml"],
     ["contour-check", "--x", "1/10", "--kernel", "exp_sqrt", "--c", "1",
@@ -121,6 +121,14 @@ def test_resource_error_exit_3(capsys):
     # removed flags: a config file and an output path (use > PATH)
     ["pnt-verify", "--config", "f"],
     ["osc-sum", "--x", "10", "--out", "f"],
+    # removed: the Bessel kernel and its order, synthetic fits, the
+    # contour tolerance (always 1e-14) and linear grids
+    ["osc-sum", "--x", "10", "--kernel", "bessel"],
+    ["osc-sum", "--x", "10", "--alpha-order", "1"],
+    ["exponent-fit", "--synthetic", "1000,0", "--x-grid", "lin:100:10000:3"],
+    ["exponent-fit", "--x-grid", "100,200,300", "--synthetic", "0.25,1"],
+    ["contour-check", "--x", "50", "--kernel", "exp_sqrt", "--tol", "1e-14"],
+    ["osc-sum", "--x-grid", "lin:100:1000:3"],
     # a flag on a subcommand that does not read it
     ["pnt-verify", "--x-max", "5", "--bits", "200"],
     ["osc-sum", "--x", "10", "--sieve-cache", "s"],
@@ -169,7 +177,7 @@ def test_precision_budget_exit_3(argv):
     ["pte-verify", "--n", "1000000", "--m", "1", "--r-max", "64"],
     ["pte-construct", "--n", "100", "--m", "100"],
     ["pte-verify", "--n", "100", "--m", "200"],
-    ["osc-sum", "--kernel", "power", "--x-grid", "lin:100:101:100000000"],
+    ["osc-sum", "--kernel", "power", "--x-grid", "geom:100:101:100000000"],
 ], ids=" ".join)
 def test_work_budget_exit_3(argv):
     # index ranges, initial contour panels, partition tables, powers r,
@@ -435,22 +443,9 @@ def _power_reference(x: int):
     return mpf(total), mpf(x)
 
 
-def _bessel_reference(order: int):
-    def reference(x: int):
-        """mpmath's I_order summed over l^2 < x, and the largest term."""
-        ls = [l for l in range(-math.isqrt(x), math.isqrt(x) + 1) if l * l < x]
-        total = mp.fsum((-1) ** l * mp.besseli(order, mp.sqrt(x - l * l)) for l in ls)
-        return total, mp.besseli(order, mp.sqrt(x))
-    return reference
-
-
 @pytest.mark.parametrize("flags, reference", [
     (["--kernel", "power", "--k-half", "1", "--form", "pentagonal"], _power_reference),
-    (["--kernel", "bessel", "--alpha-order", "0", "--c", "1", "--form", "square"],
-     _bessel_reference(0)),
-    (["--kernel", "bessel", "--alpha-order", "1", "--c", "1", "--form", "square"],
-     _bessel_reference(1)),
-], ids=["power", "bessel0", "bessel1"])
+], ids=["power"])
 def test_osc_sum_kernel_against_oracle(flags, reference, capsys):
     code, out, _ = run(["osc-sum", "--x-grid", "50,400"] + flags, capsys)
     assert code == 0
@@ -463,16 +458,6 @@ def test_osc_sum_kernel_against_oracle(flags, reference, capsys):
             tol = largest * mpf(2) ** -(bits - 16)
             assert abs(mpf(row["re"]) - want) <= tol
             assert abs(mpf(row["im"])) <= tol
-
-
-def test_exponent_fit_synthetic(capsys):
-    code, out, _ = run(["exponent-fit", "--synthetic", "0.25,1.0",
-                        "--x-grid", "lin:100:1000:10"], capsys)
-    assert code == 0
-    (row,) = rows_of(out)
-    assert row["points"] == "10"
-    assert abs(float(row["w_hat"]) - 0.25) < 1e-10
-    assert float(row["rms"]) < 1e-10
 
 
 def test_contour_check_gate(capsys):
@@ -548,6 +533,104 @@ def test_contour_check_stdout_pinned(capsys, args, fields):
     assert out == _CONTOUR_HEADER + "\n" + ",".join(fields) + "\n"
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "each leg converges to the 1e-14 tolerance relative to its own value, not "
+    "to the total: the legs reach 3.7e19 against a total of 1.75e4, so the "
+    "quadrature misses the discrete side by rel_err 3.30e-11 > 1e-12"))
+def test_contour_check_legs_far_above_the_total(capsys):
+    code, out, _ = run(["contour-check", "--x", "50", "--kernel", "complex_exp",
+                        "--alpha", "1", "--beta", "10", "--T", "100", "--form",
+                        "pentagonal", "--bits", "320", "--max-rel-err", "1e-12"], capsys)
+    (row,) = rows_of(out)
+    assert float(row["rel_err"]) <= 1e-12
+    assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# property: 64 bits above the precision policy's choice move no printed
+# value by more than 2^-(bits-8) times the size of the terms it sums
+
+
+def _osc_sum_case(*flags):
+    def case(draw):
+        x = draw(st.integers(20, 2000))
+        argv = ["osc-sum", "--x", str(x)] + list(flags)
+        args = _build_parser().parse_args(argv)
+        kernel, q = _KERNELS[args.kernel](args), _FORMS[args.form](args)
+        bits = required_bits(x, kernel.growth)
+        lo, hi = q.index_range(x)
+        ctx = PrecisionContext(bits=bits + 64)
+        with ctx.workprec():
+            K = kernel.bind_real(ctx)
+            scale = max(abs(K(x - q.evaluate(n))) for n in range(lo, hi + 1))
+        return argv, bits, {"re": scale, "im": scale, "bound": None}
+    return case
+
+
+def _psi_sum_case(draw):
+    x, T = draw(st.integers(4, 60)), draw(st.integers(1, 3000))
+    with mp.workprec(64):
+        scale = mp.exp(mp.sqrt(x))  # psi(e^sqrt(x)), the largest term, is about e^sqrt(x)
+    argv = ["psi-sum", "--x", str(x), "--T", str(T)]
+    return argv, required_bits(x, 0), {"re": scale, "im": scale}
+
+
+def _lemma_sum_case(draw):
+    x, T = draw(st.integers(1, 400)), draw(st.integers(1, 50))
+    k = draw(st.sampled_from([1, 3, 5, 7]))
+    argv = ["lemma-sum", "--x", str(x), "--T", str(T), "--k", str(k)]
+    with mp.workprec(64):
+        scale = mpf(x) ** (mpf(k) / 2)  # the l = 0 term, the largest
+    return argv, required_bits(x, 0), {"value": scale, "bound": None}
+
+
+def _bound_case(draw):
+    x, c = draw(st.integers(1, 10**5)), draw(st.sampled_from(["growth-p1", "growth-p3", "1/3"]))
+    argv = ["bound", "--family", "main1", "--a", "3/2", "--c", c, "--x", str(x)]
+    return argv, required_bits(x, _rate(c)), {"bound": None}
+
+
+# flags beyond --kernel: a steep rate, a power that is not an integer,
+# a complex exponent
+_KERNEL_ARGS = {"exp_sqrt": ("--c", "growth-p1"), "power": ("--k-half", "3/2"),
+                "complex_exp": ("--alpha", "1", "--beta", "7", "--T", "100", "--form", "square")}
+_POLICY_CASES = {
+    **{"osc-sum " + k: _osc_sum_case("--kernel", k, *_KERNEL_ARGS.get(k, ())) for k in _KERNELS},
+    "psi-sum": _psi_sum_case,
+    "lemma-sum odd k": _lemma_sum_case,
+    "bound": _bound_case,
+}
+
+
+def _json_row(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", "json"])
+    assert (code, err.getvalue()) == (0, "")
+    (row,) = json.loads(out.getvalue())
+    return row
+
+
+@pytest.mark.parametrize("case", sorted(_POLICY_CASES))
+@settings(deadline=None, max_examples=8)
+@given(data=st.data())
+def test_policy_bits_agree_with_64_more(case, data):
+    # each compared column, against the size of the terms its value sums
+    # (None: against the value itself)
+    argv, bits, scales = data.draw(st.composite(_POLICY_CASES[case])())
+    at_policy = _json_row(argv)
+    above = _json_row(argv + ["--bits", str(bits + 64)])
+    assert at_policy.get("bits", bits) == bits
+    with mp.workprec(bits + 128):
+        tol = mpf(2) ** (8 - bits)
+        for column, scale in scales.items():
+            if at_policy[column] is None:
+                assert above[column] is None
+                continue
+            low, high = mpf(at_policy[column]), mpf(above[column])
+            assert abs(low - high) <= tol * (abs(high) if scale is None else scale), column
+
+
 # Minimal valid arguments of each subcommand.  Only parsing runs here.
 _VALID = {
     "pnt-verify": ["--x-max", "5"],
@@ -591,7 +674,7 @@ def test_flags_only_where_read(command, capsys):
 
 _UNKNOWN_FLAGS = ["--bogus", "--config", "--out"]
 _KERNEL_FLAGS = ["--kernel", "--c", "--form", "--T", "--a", "--b", "--d", "--alpha",
-                 "--beta", "--k-half", "--alpha-order"]
+                 "--beta", "--k-half"]
 _FLAGS = {
     "pnt-verify": ["--x-max", "--inject-corruption"],
     "osc-sum": ["--x", "--x-grid"] + _KERNEL_FLAGS,
@@ -605,8 +688,8 @@ _FLAGS = {
     "lemma-sum": ["--x", "--T", "--k", "--u"],
     # no --kernel: the default p2 has no complex continuation, so no
     # drawn contour-check reaches the (seconds-long) quadrature
-    "contour-check": ["--x", "--u", "--tol", "--max-rel-err", "--c", "--form", "--T"],
-    "exponent-fit": ["--x", "--x-grid", "--synthetic"] + _KERNEL_FLAGS,
+    "contour-check": ["--x", "--u", "--max-rel-err", "--c", "--form", "--T"],
+    "exponent-fit": ["--x", "--x-grid"] + _KERNEL_FLAGS,
     "pigeonhole": ["--n", "--k"],
 }
 for _command, _flags in _FLAGS.items():

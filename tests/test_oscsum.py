@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from cancelsum import (DegenerateFitError, DomainError, EmptyRangeError,
@@ -49,6 +50,29 @@ def test_index_range_empty():
     q = pentagonal_form()
     with pytest.raises(EmptyRangeError):
         q.index_range(Fraction(-1, 2))
+
+
+_small = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@settings(deadline=None, max_examples=100)
+@given(a=st.fractions(min_value=Fraction(1, 4), max_value=20, max_denominator=12),
+       b=_small, d=_small, x=st.fractions(min_value=-30, max_value=200, max_denominator=12),
+       on_point=st.one_of(st.none(), st.integers(-20, 20)))
+def test_index_range_matches_enumeration(a, b, d, x, on_point):
+    # a >= 1/4, |b| <= 30 and x - d <= 230 put both roots of q = x inside
+    # (-150, 150); on_point puts x exactly on q(n) for an integer n
+    q = QuadraticForm(a, b, d)
+    if on_point is not None:
+        x = q.evaluate(on_point)
+    inside = [n for n in range(-160, 161) if q.evaluate(n) < x]
+    if not inside:
+        with pytest.raises(EmptyRangeError):
+            q.index_range(x)
+        return
+    assert q.index_range(x) == (inside[0], inside[-1])
+    assert len(inside) == inside[-1] - inside[0] + 1 and -150 < inside[0]
+    assert inside[-1] < 150
 
 
 def test_form_validation():
