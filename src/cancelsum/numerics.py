@@ -49,10 +49,15 @@ class PrecisionContext:
             raise ResourceError("precision of %s bits exceeds budget %d"
                                 % (mp.nstr(mpf(self.bits), 6), MAX_PRECISION_BITS))
 
+    @property
+    def work_bits(self) -> int:
+        """bits + guard_bits, the precision of workprec()."""
+        return self.bits + self.guard_bits
+
     @contextmanager
     def workprec(self):
-        """mpmath context at bits + guard_bits binary precision."""
-        with mp.workprec(self.bits + self.guard_bits):
+        """mpmath context at work_bits binary precision."""
+        with mp.workprec(self.work_bits):
             yield mp
 
 

@@ -30,7 +30,8 @@ from math import isqrt, lcm, sqrt
 from typing import Callable, Optional, Union
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import mpc_exp, mpc_mul, mpc_mul_mpf, mpc_pow_mpf, mpc_sqrt
+from mpmath.libmp import (fzero, mpc_exp, mpc_mul, mpc_mul_mpf, mpc_pow_mpf, mpc_sqrt, mpf_add,
+                          mpf_sub)
 
 from . import partition
 from .errors import (DegenerateFitError, DomainError, EmptyRangeError, PrecisionError,
@@ -74,6 +75,20 @@ class QuadraticForm:
             (-to_mpf_exact(self.b) + s) / (2 * to_mpf_exact(self.a)),
         )
 
+    def _cleared(self, x) -> tuple[int, int, int, int]:
+        """(scale, A, B, C) with scale (q(n) - x) = A n^2 + B n + C, all integers."""
+        xf = _to_fraction(x)
+        scale = lcm(self.a.denominator, self.b.denominator, (self.d - xf).denominator)
+        return (scale,) + tuple(int(v * scale) for v in (self.a, self.b, self.d - xf))
+
+    def gaps(self, x, indices):
+        """(n, x - q(n)) for each n of indices, x - q(n) an int where it is
+        integral and a Fraction elsewhere."""
+        scale, A, B, C = self._cleared(x)
+        for n in indices:
+            num = -(A * n + B) * n - C
+            yield n, (num // scale if num % scale == 0 else Fraction(num, scale))
+
     def index_range(self, x) -> tuple[int, int]:
         """Integer interval [n_lo, n_hi] where q(n) < x strictly;
         boundary integers with q(n) = x exactly are excluded; ResourceError
@@ -82,9 +97,7 @@ class QuadraticForm:
         Decided in integers: with denominators cleared, q(n) < x reads
         A n^2 + B n + C < 0, that is (2 A n + B)^2 < disc = B^2 - 4 A C,
         so |2 A n + B| <= s for the largest integer s with s^2 < disc."""
-        xf = _to_fraction(x)
-        scale = lcm(self.a.denominator, self.b.denominator, (self.d - xf).denominator)
-        A, B, C = (int(v * scale) for v in (self.a, self.b, self.d - xf))
+        _, A, B, C = self._cleared(x)
         disc = B * B - 4 * A * C
         if disc <= 0:
             raise EmptyRangeError("no integer n satisfies q(n) < %s" % (x,))
@@ -112,11 +125,11 @@ def square_form(T: Rational = 1) -> QuadraticForm:
 
 
 _RADEMACHER = {
-    "p1": (partition.p1, partition.growth_p1),
-    "p2": (partition.p2, partition.growth_p1),
-    "p3": (partition.p3, partition.growth_p3),
-    "p4": (partition.p4, partition.growth_p1),
-    "sqrt_p1": (lambda y, ctx: mp.sqrt(partition.p1(y, ctx)), partition.growth_p3),
+    "p1": (partition.bind_p1, partition.growth_p1),
+    "p2": (partition.bind_p2, partition.growth_p1),
+    "p3": (partition.bind_p3, partition.growth_p3),
+    "p4": (partition.bind_p4, partition.growth_p1),
+    "sqrt_p1": (partition.bind_sqrt_p1, partition.growth_p3),
 }
 
 
@@ -183,8 +196,8 @@ def rademacher_kernel(name: str) -> KernelSpec:
     the square-root variant sqrt_p1."""
     if name not in _RADEMACHER:
         raise DomainError("unknown rademacher kernel %r" % (name,))
-    func, growth = _RADEMACHER[name]
-    return KernelSpec("rademacher", growth, True, lambda ctx: lambda y: func(y, ctx))
+    bind_real, growth = _RADEMACHER[name]
+    return KernelSpec("rademacher", growth, True, bind_real)
 
 
 def power_kernel(k_half) -> KernelSpec:
@@ -258,22 +271,31 @@ def alternating_sum(kernel: KernelSpec, q: QuadraticForm, x, ctx: PrecisionConte
     """Evaluate S(x) = sum_{q(n) < x} (-1)^n kernel(x - q(n)).
 
     Terms are accumulated at bits + guard_bits in order of increasing
-    |n|.  Raises PrecisionError when the precision policy for the
-    kernel's growth constant exceeds ctx.bits, and EmptyRangeError when
-    no index satisfies the constraint.
+    |n|, on raw values with the mpf_add/mpf_sub calls that mpc addition
+    makes, so the total is the mpc sum's bit for bit.  Raises
+    PrecisionError when the precision policy for the kernel's growth
+    constant exceeds ctx.bits, and EmptyRangeError when no index
+    satisfies the constraint.
     """
     need = required_bits(x, kernel.growth)
     if need > ctx.bits:
         raise PrecisionError("sum at x=%s of a %s kernel needs %d bits, context has %d"
                              % (x, kernel.family, need, ctx.bits))
     lo, hi = q.index_range(x)
-    x_frac = _to_fraction(x)
+    prec = ctx.work_bits
     with ctx.workprec():
         K = kernel.bind_real(ctx)
-        total = mpc(0)
-        for n in _interleaved(lo, hi):
-            term = mpc(K(x_frac - q.evaluate(n)))
-            total = total + term if n % 2 == 0 else total - term
+        re = im = fzero
+        for n, y in q.gaps(x, _interleaved(lo, hi)):
+            add = mpf_sub if n % 2 else mpf_add
+            term = K(y)
+            if isinstance(term, mpc):
+                t_re, t_im = term._mpc_
+                im = add(im, t_im, prec, "n")
+            else:
+                t_re = term._mpf_
+            re = add(re, t_re, prec, "n")
+        total = mp.make_mpc((re, im))
         abs_value = abs(total)
         bound_v = None
         ratio = None

@@ -18,13 +18,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pi, mpf_pow, mpf_sqrt, mpf_sub)
 
 from .errors import DomainError, ResourceError
 from .numerics import PrecisionContext, to_fraction_exact
 
 # Largest n of an exact table; the largest in use is 10,101 (pnt-verify in
-# the cli-mix benchmark); pnt-verify at the cap takes about 40 s (CPython
-# 3.11, one core).
+# the cli-mix benchmark); pnt-verify at the cap takes about 12 s, 7 s of
+# it growing the table (CPython 3.11, one core of a 2-core Xeon).
 MAX_PARTITION_N = 100_000
 
 
@@ -100,13 +102,15 @@ def pnt_checksum(x: int, table: ExactPartitionTable | None = None) -> int:
     if x < 1:
         raise DomainError("pnt_checksum needs x >= 1")
     tab = table if table is not None else _TABLE
-    total = tab.partition(x)  # n = 0 term
-    n = 1
-    while pentagonal(n) <= x or pentagonal(-n) <= x:
-        sign = 1 if n % 2 == 0 else -1
-        for g in (pentagonal(n), pentagonal(-n)):
-            if g <= x:
-                total += sign * tab.partition(x - g)
+    total = tab.partition(x)  # n = 0 term; grows the table to x
+    values = tab._values
+    n, g1 = 1, 1  # g1 = pentagonal(n), g1 + n = pentagonal(-n)
+    while g1 <= x:
+        term = values[x - g1]
+        if g1 + n <= x:
+            term += values[x - g1 - n]
+        total += -term if n % 2 else term
+        g1 += 3 * n + 1
         n += 1
     return total
 
@@ -114,6 +118,8 @@ def pnt_checksum(x: int, table: ExactPartitionTable | None = None) -> int:
 def _as_positive_int(x) -> int:
     """Accept int or an exactly-integral rational, float or mpf; the sign
     factor (-1)^x in p3 is only defined at integers."""
+    if type(x) is int and x >= 1:
+        return x
     if isinstance(x, (bool, str)):
         raise DomainError("x must be a positive integer")
     xf = to_fraction_exact(x)
@@ -124,34 +130,106 @@ def _as_positive_int(x) -> int:
     return xf.numerator
 
 
-def p1(x, ctx: PrecisionContext) -> mpf:
+# Each bind_* rounds its kernel's constants once, at the context's working
+# precision, and returns y -> kernel(y) as an mpf.  The kernel makes the
+# mpmath.libmp calls, rounded "n", that the mpf operators of the printed
+# formula make, so its values are theirs bit for bit.  In particular
+# v^1.5 stays mpf_pow, which rounds sqrt(v) at 10 extra bits and cubes
+# it: v * sqrt(v) would round differently.
+
+_THREE_HALVES = from_man_exp(3, -1)
+
+
+def _p1(prec: int):
+    """Raw e^{pi sqrt(2x/3)} / (4x sqrt(3)) at prec."""
+    pi, three = mpf_pi(prec, "n"), from_int(3)
+    root3 = mpf_sqrt(three, prec, "n")
+
+    def p1(y):
+        x = from_int(_as_positive_int(y), prec, "n")
+        arg = mpf_sqrt(mpf_div(mpf_mul_int(x, 2, prec, "n"), three, prec, "n"), prec, "n")
+        return mpf_div(mpf_exp(mpf_mul(pi, arg, prec, "n"), prec, "n"),
+                       mpf_mul(mpf_mul_int(x, 4, prec, "n"), root3, prec, "n"), prec, "n")
+    return p1
+
+
+def _pair(root: int, k: int, alternating: bool, prec: int):
+    """Raw Rademacher pair (sqrt(root)/v - k sqrt(root)/(pi v^1.5))
+    e^{(pi/k) sqrt(v)} at v = 24x - 1, times (-1)^x when alternating, as
+    a function of (x, v, sqrt(v), v^1.5)."""
+    s = mpf_sqrt(from_int(root), prec, "n")
+    ks, pi = mpf_mul_int(s, k, prec, "n"), mpf_pi(prec, "n")
+    pi_k = mpf_div(pi, from_int(k), prec, "n")
+
+    def pair(x, v, root_v, v_15):
+        pre = mpf_sub(mpf_div(s, v, prec, "n"),
+                      mpf_div(ks, mpf_mul(pi, v_15, prec, "n"), prec, "n"), prec, "n")
+        val = mpf_mul(pre, mpf_exp(mpf_mul(pi_k, root_v, prec, "n"), prec, "n"), prec, "n")
+        return mpf_neg(val) if alternating and x % 2 else val
+    return pair
+
+
+_P2 = (12, 6, False)  # the dominant pair of the main Rademacher term
+_P3 = (6, 12, True)  # the second pair, carrying the sign (-1)^x
+
+
+def _bind_pairs(ctx: PrecisionContext, *pairs):
+    """y -> the sum of the given pairs at v = 24y - 1, as an mpf."""
+    prec = ctx.work_bits
+    terms = [_pair(root, k, alternating, prec) for root, k, alternating in pairs]
+
+    def kernel(y):
+        x = _as_positive_int(y)
+        v = from_int(24 * x - 1, prec, "n")
+        args = (x, v, mpf_sqrt(v, prec, "n"), mpf_pow(v, _THREE_HALVES, prec, "n"))
+        total = terms[0](*args)
+        for term in terms[1:]:
+            total = mpf_add(total, term(*args), prec, "n")
+        return mp.make_mpf(total)
+    return kernel
+
+
+def bind_p1(ctx: PrecisionContext):
     """First Rademacher term e^{pi sqrt(2x/3)} / (4x sqrt(3))."""
-    xi = _as_positive_int(x)
-    with ctx.workprec():
-        xx = mpf(xi)
-        return mp.exp(mp.pi * mp.sqrt(2 * xx / 3)) / (4 * xx * mp.sqrt(3))
+    p1 = _p1(ctx.work_bits)
+    return lambda y: mp.make_mpf(p1(y))
+
+
+def bind_sqrt_p1(ctx: PrecisionContext):
+    """sqrt(p1(x)), whose growth rate is p3's."""
+    prec = ctx.work_bits
+    p1 = _p1(prec)
+    return lambda y: mp.make_mpf(mpf_sqrt(p1(y), prec, "n"))
+
+
+def bind_p2(ctx: PrecisionContext):
+    """Two-term truncation: the dominant pair of the main Rademacher term."""
+    return _bind_pairs(ctx, _P2)
+
+
+def bind_p3(ctx: PrecisionContext):
+    """Second pair of Rademacher terms, carrying the sign (-1)^x."""
+    return _bind_pairs(ctx, _P3)
+
+
+def bind_p4(ctx: PrecisionContext):
+    """Four-term truncation p2 + p3."""
+    return _bind_pairs(ctx, _P2, _P3)
+
+
+# Each kernel at a single argument, binding its constants for that call.
+
+def p1(x, ctx: PrecisionContext) -> mpf:
+    return bind_p1(ctx)(x)
 
 
 def p2(x, ctx: PrecisionContext) -> mpf:
-    """Two-term truncation: the dominant pair of the main Rademacher term."""
-    xi = _as_positive_int(x)
-    with ctx.workprec():
-        v = mpf(24 * xi - 1)
-        pre = mp.sqrt(12) / v - 6 * mp.sqrt(12) / (mp.pi * v ** mpf("1.5"))
-        return pre * mp.exp(mp.pi / 6 * mp.sqrt(v))
+    return bind_p2(ctx)(x)
 
 
 def p3(x, ctx: PrecisionContext) -> mpf:
-    """Second pair of Rademacher terms, carrying the sign (-1)^x."""
-    xi = _as_positive_int(x)
-    with ctx.workprec():
-        v = mpf(24 * xi - 1)
-        pre = mp.sqrt(6) / v - 12 * mp.sqrt(6) / (mp.pi * v ** mpf("1.5"))
-        val = pre * mp.exp(mp.pi / 12 * mp.sqrt(v))
-        return val if xi % 2 == 0 else -val
+    return bind_p3(ctx)(x)
 
 
 def p4(x, ctx: PrecisionContext) -> mpf:
-    """Four-term truncation p2 + p3."""
-    with ctx.workprec():
-        return p2(x, ctx) + p3(x, ctx)
+    return bind_p4(ctx)(x)

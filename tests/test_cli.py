@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -544,6 +545,79 @@ def test_contour_check_legs_far_above_the_total(capsys):
     (row,) = rows_of(out)
     assert float(row["rel_err"]) <= 1e-12
     assert code == 0
+
+
+_OSC_HEADER = "x,re,im,abs,terms,bound,ratio,bits"
+
+@pytest.mark.parametrize("kernel,form,rows", [
+    ("p1", "pentagonal", [
+        "24,-0.117450302215869675233982900699351164691805,0.0,0.117450302215869675233982900699351164691805,"
+        "8,213.256510203657555189859317595659639858577,0.000550746620132280909261641844741421937460196,128",
+        "101,0.32169276962957689332856708716177365950538510,0.0,0.32169276962957689332856708716177365950538510,"
+        "17,23121.962248545509776471198624620054941377294,0.000013912866311760067913798506383485926728451001,134",
+    ]),
+    ("p2", "pentagonal", [
+        "24,-0.0879448577015165380232138521556633948284144,0.0,0.0879448577015165380232138521556633948284144,"
+        "8,213.256510203657555189859317595659639858577,0.000412390025596546589014036047717642971796655,128",
+        "101,-0.013981534876244153098881057954651289783252946,0.0,0.013981534876244153098881057954651289783252946,"
+        "17,23121.962248545509776471198624620054941377294,0.00000060468634651125526676193011565540462866624826,134",
+    ]),
+    ("p3", "pentagonal", [
+        "24,-0.0985046457841351067650279592370923194307803,0.0,0.0985046457841351067650279592370923194307803,"
+        "8,11.0355230957978158097861755364072969309939,0.00892614196255403601118616016499343827363182,128",
+        "101,0.0495709894812026726594959517718352470157489,0.0,0.0495709894812026726594959517718352470157489,"
+        "17,53.1705650012734915983650760026891159078970,0.000932301349064381669149425734055866115884504,128",
+    ]),
+    ("p4", "pentagonal", [
+        "24,-0.186449503485651644788241811392755714259195,0.0,0.186449503485651644788241811392755714259195,"
+        "8,213.256510203657555189859317595659639858577,0.000874296889260705231513483061295363522932469,128",
+        "101,0.035589454604958519560614893817183957232495564,0.0,0.035589454604958519560614893817183957232495564,"
+        "17,23121.962248545509776471198624620054941377294,0.0000015392056358537337855036322413974958703516143,134",
+    ]),
+    ("sqrt_p1", "pentagonal", [
+        "24,-0.855836788950827924876653493858443058335913,0.0,0.855836788950827924876653493858443058335913,"
+        "8,11.0355230957978158097861755364072969309939,0.0775528972683424026979707769938819233571179,128",
+        "101,-0.320542592025434189758299670451873426513604,0.0,0.320542592025434189758299670451873426513604,"
+        "17,53.1705650012734915983650760026891159078970,0.00602857223762352071420623742254231547026901,128",
+    ]),
+    ("p4", "square", [
+        "24,10.7060088910952427158128017244309932785349,0.0,10.7060088910952427158128017244309932785349,"
+        "9,84.0824763161316144392144406852536059007993,0.127327468934704115980431711776290362026744,128",
+        "101,-2718.3355078518598629412232907285547777743183,0.0,2718.3355078518598629412232907285547777743183,"
+        "21,3426.4654849204858161844008123742287319083170,0.79333514953381801242589524123924902994055503,134",
+    ]),
+], ids=["p1-pentagonal", "p2-pentagonal", "p3-pentagonal", "p4-pentagonal", "sqrt_p1-pentagonal", "p4-square"])
+def test_osc_sum_stdout_pinned(capsys, kernel, form, rows):
+    # every digit of each Rademacher kernel's sum, as first recorded: a
+    # change to how a kernel or the sum is evaluated must leave them bit
+    # for bit, at even and odd x
+    code, out, err = run(["osc-sum", "--kernel", kernel, "--form", form,
+                          "--x-grid", "24,101"], capsys)
+    assert (code, err) == (0, "")
+    assert out == _OSC_HEADER + "\n" + "\n".join(rows) + "\n"
+
+
+def test_osc_sum_readme_grid_pinned(capsys):
+    # the README's p2 grid, 20 rows at 128 to 467 bits, by the sha256 of
+    # its stdout as first recorded
+    code, out, err = run(["osc-sum", "--kernel", "p2", "--form", "pentagonal",
+                          "--x-grid", "geom:100:10000:20"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "23b00ea82b136de325f3c2737d35db821b347e78ad6075ad7f1b7e78ab245e23"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--form", "square", "--T", "3", "--x", "10"],
+     "rademacher kernels are defined at integer arguments only, got Fraction(29, 3)"),
+    (["--form", "pentagonal", "--x", "100.5"],
+     "rademacher kernels are defined at integer arguments only, got Fraction(201, 2)"),
+])
+def test_osc_sum_rademacher_rejects_fractional_argument(capsys, argv, message):
+    # the first term x - q(n) that is not an integer names itself
+    code, out, err = run(["osc-sum", "--kernel", "p2"] + argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": message}
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,10 @@ def test_index_range_matches_enumeration(a, b, d, x, on_point):
     assert q.index_range(x) == (inside[0], inside[-1])
     assert len(inside) == inside[-1] - inside[0] + 1 and -150 < inside[0]
     assert inside[-1] < 150
+    # the summed arguments x - q(n), exact, and an int where integral
+    for n, y in q.gaps(x, inside):
+        assert y == x - q.evaluate(n)
+        assert type(y) is (int if y.denominator == 1 else Fraction)
 
 
 def test_form_validation():

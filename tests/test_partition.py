@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from cancelsum import (DomainError, ExactPartitionTable, ResourceError, p1, p2, p3,
-                       p4, partition_exact, pentagonal, pnt_checksum)
+from cancelsum import (DomainError, ExactPartitionTable, PrecisionContext, ResourceError,
+                       p1, p2, p3, p4, partition_exact, pentagonal, pnt_checksum,
+                       rademacher_kernel)
 from cancelsum.partition import MAX_PARTITION_N
 from cancelsum.numerics import to_mpf_exact
 
@@ -132,3 +134,63 @@ def test_p_kernels_reject_bad_x(ctx192):
     # an exactly integral rational, float or mpf is that integer
     for same in (3.0, Fraction(6, 2), mpf(3)):
         assert p3(same, ctx192) == p3(3, ctx192)
+
+
+def _printed_formula(name: str, x: int, ctx: PrecisionContext) -> mpf:
+    """The kernels as printed, on mpf operators: the oracle for the bound
+    kernels' bits."""
+    with ctx.workprec():
+        if name in ("p1", "sqrt_p1"):
+            xx = mpf(x)
+            val = mp.exp(mp.pi * mp.sqrt(2 * xx / 3)) / (4 * xx * mp.sqrt(3))
+            return mp.sqrt(val) if name == "sqrt_p1" else val
+        v = mpf(24 * x - 1)
+        pre2 = mp.sqrt(12) / v - 6 * mp.sqrt(12) / (mp.pi * v ** mpf("1.5"))
+        val2 = pre2 * mp.exp(mp.pi / 6 * mp.sqrt(v))
+        pre3 = mp.sqrt(6) / v - 12 * mp.sqrt(6) / (mp.pi * v ** mpf("1.5"))
+        val3 = pre3 * mp.exp(mp.pi / 12 * mp.sqrt(v))
+        val3 = val3 if x % 2 == 0 else -val3
+        return {"p2": val2, "p3": val3, "p4": val2 + val3}[name]
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "p4", "sqrt_p1"])
+@pytest.mark.parametrize("bits", [128, 214, 467, 1267])
+def test_bound_kernel_matches_printed_formula(name, bits):
+    ctx = PrecisionContext(bits=bits)
+    with ctx.workprec():
+        K = rademacher_kernel(name).bind_real(ctx)
+    for x in (1, 2, 3, 24, 1001, 10**5):
+        want = _printed_formula(name, x, ctx)._mpf_
+        for y in (x, Fraction(x)):
+            got = K(y)
+            assert isinstance(got, mpf)
+            assert got._mpf_ == want, (name, bits, y)
+
+
+def _checksum_by_definition(x: int, table: ExactPartitionTable) -> int:
+    """sum over n in Z with pentagonal(n) <= x of (-1)^n p(x - pentagonal(n))."""
+    total = table.partition(x)
+    n = 1
+    while pentagonal(n) <= x or pentagonal(-n) <= x:
+        sign = 1 if n % 2 == 0 else -1
+        for g in (pentagonal(n), pentagonal(-n)):
+            if g <= x:
+                total += sign * table.partition(x - g)
+        n += 1
+    return total
+
+
+def test_pnt_checksum_matches_definition_on_perturbed_tables():
+    rng = random.Random(20191)
+    base = ExactPartitionTable()
+    base.grow(400)
+    for _ in range(8):
+        values = list(base._values[:rng.randrange(2, 401)])
+        for k in rng.sample(range(1, len(values)), min(3, len(values) - 1)):
+            values[k] += rng.choice((-2, -1, 1, 3))
+        mine, reference = ExactPartitionTable(values), ExactPartitionTable(values)
+        n_max = mine.n_max
+        # x above n_max grows both tables from the perturbed values
+        for x in list(range(1, n_max + 1)) + [n_max + 1, n_max + 37]:
+            assert pnt_checksum(x, mine) == _checksum_by_definition(x, reference), x
+        assert mine._values == reference._values
