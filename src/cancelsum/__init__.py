@@ -23,8 +23,8 @@ from .oscsum import (KernelSpec, QuadraticForm, SumReport, alternating_sum,
                      empirical_exponent, exp_sqrt_kernel, maximize_delta,
                      pentagonal_form, power_kernel, rademacher_kernel,
                      square_form)
-from .primes import (IntervalHalfReport, LambdaSieve, build_sieve,
-                     coefficients_value, interval_union_measure,
+from .primes import (IntervalHalfReport, LambdaSieve, PrimeCoefficients,
+                     build_sieve, coefficients_value, interval_union_measure,
                      lambda_coefficients, load_sieve, psi,
                      psi_interval_half, psi_weak_pentagonal, save_sieve)
 from .pte import (IntegerPolynomial, PTEPair, PTERow, coefficient_bound_check,

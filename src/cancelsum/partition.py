@@ -67,16 +67,13 @@ class ExactPartitionTable:
         values = self._values
         for k in range(len(values), n_max + 1):
             total = 0
-            j = 1
-            while True:
-                g1 = k - j * (3 * j - 1) // 2
-                if g1 < 0:
-                    break
-                term = values[g1]
-                g2 = k - j * (3 * j + 1) // 2
-                if g2 >= 0:
-                    term += values[g2]
+            j, g1 = 1, 1  # g1 = pentagonal(j), g1 + j = pentagonal(-j)
+            while g1 <= k:
+                term = values[k - g1]
+                if g1 + j <= k:
+                    term += values[k - g1 - j]
                 total += term if j % 2 else -term
+                g1 += 3 * j + 1
                 j += 1
             values.append(total)
 

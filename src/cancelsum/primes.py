@@ -24,11 +24,14 @@ import os
 import struct
 import zlib
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import chain, compress, islice, repeat, starmap
 from math import isqrt
+from operator import eq, neg
 
 from mpmath import iv, mp, mpc, mpf
 
@@ -38,10 +41,11 @@ from .oscsum import SumReport, square_form
 
 # Peak RSS of a psi run (CPython 3.11): psi-half peaks in the build, at
 # 1 byte per integer (sieve flags) plus 8 per prime power (the index);
-# psi-sum peaks later, at the index plus ~100 bytes per prime for its
-# coefficient map.  psi-half and psi-sum take 48 and 131 MB at x=280, 69
-# and 239 MB for the 2.05M prime powers at x=300, and by these rates about
-# 0.17 and 0.65 GB at the cap.
+# psi-sum peaks after it, at the index plus 16 bytes per prime for its
+# two coefficient arrays and 2 per prime power for the flags that fill
+# them.  psi-half and psi-sum take 48 and 50 MB at x=280, and 69 and 72 MB
+# for the 2.05M prime powers at x=300 (either method); by these rates
+# about 0.17 GB each at the cap.
 MAX_SIEVE_LIMIT = 100_000_000
 PSI_METHODS = ("bucket", "direct")
 # Bits above the working precision that psi_interval_half sums psi at
@@ -196,63 +200,123 @@ def _cutoffs(x, T, sieve: LambdaSieve) -> list[int]:
             for j in range(_ell_max(xf, Tf) + 1)]
 
 
-def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> dict[int, int]:
-    """Exact integer coefficient per prime p in
-    sum_{l^2 < xT} (-1)^l Psi(e^{sqrt(x - l^2/T)}) = sum_p coeff[p] log p.
+class PrimeCoefficients(Mapping):
+    """Read-only map prime -> nonzero integer coefficient, held as an
+    ascending array('Q') of primes and a parallel array('q') of counts:
+    16 bytes per prime where a dict takes about 100."""
 
-    method="bucket" walks prime powers once, bisecting the cutoffs;
-    method="direct" walks the index j and counts a prefix per j.
-    Identical cutoffs, independent aggregation.
+    __slots__ = ("primes", "counts")
+
+    def __init__(self, primes: array, counts: array):
+        self.primes = primes
+        self.counts = counts
+
+    @classmethod
+    def from_mapping(cls, coeff) -> "PrimeCoefficients":
+        """Sorted once into the array form; zero entries are kept."""
+        primes = array("Q", sorted(coeff))
+        return cls(primes, array("q", map(coeff.__getitem__, primes)))
+
+    def __getitem__(self, p):
+        i = bisect_left(self.primes, p)
+        if i == len(self.primes) or self.primes[i] != p:
+            raise KeyError(p)
+        return self.counts[i]
+
+    def __iter__(self):
+        return iter(self.primes)
+
+    def __len__(self) -> int:
+        return len(self.primes)
+
+
+def _pack(entries: array, n_inside: int, root: int, base: dict, coeffs) -> PrimeCoefficients:
+    """Sum the coefficients of entries[:n_inside] onto their primes;
+    coeffs(select) yields the coefficient of each entry that the flag
+    bytes `select` pick, in entry order.
+
+    Only primes <= root have several powers.  A first pass takes the
+    entries <= root and the powers above it (flags `several`) into a
+    small dict; its nonzero counts are written first, ascending.  Every
+    other entry (flags `single`) is a prime with one power, ascending
+    already, and a second pass appends its count.  One array grows at a
+    time and neither is copied: 16 bytes per prime, plus the two flag
+    bytes per entry while it runs."""
+    k0 = bisect_right(entries, root, 0, n_inside)
+    several, single = bytearray(n_inside), bytearray(b"\1") * n_inside
+    several[:k0], single[:k0] = b"\1" * k0, bytes(k0)
+    for pp in base:
+        i = bisect_left(entries, pp, k0, n_inside)
+        if pp > root and i < n_inside:
+            several[i], single[i] = 1, 0
+    small: dict[int, int] = {}  # in ascending order: each p comes before its powers
+    for pp, c in zip(compress(entries, several), coeffs(several)):
+        p = base.get(pp, pp)
+        small[p] = small.get(p, 0) + c
+    kept = [(p, c) for p, c in small.items() if c]
+    primes = array("Q", [p for p, _ in kept])
+    primes.extend(compress(entries, single))
+    counts = array("q", [c for _, c in kept])
+    counts.extend(coeffs(single))
+    return PrimeCoefficients(primes, counts)
+
+
+def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> PrimeCoefficients:
+    """Exact integer coefficient per prime p in
+    sum_{l^2 < xT} (-1)^l Psi(e^{sqrt(x - l^2/T)}) = sum_p coeff[p] log p,
+    as a PrimeCoefficients map of the nonzero coefficients.
+
+    method="bucket" bisects the cutoffs once per prime power;
+    method="direct" walks the index j, counts a prefix per j, and gives
+    each cutoff band, the prime powers between consecutive prefix
+    counts, the running sum of the index weights.  Identical cutoffs,
+    independent coefficients per prime power, one shared sum per prime.
     """
     if method not in PSI_METHODS:
         raise DomainError("unknown method %r" % (method,))
     cut = _cutoffs(x, T, sieve)
-    entries, base = sieve.entries, sieve._base
+    entries = sieve.entries
     n_inside = bisect_right(entries, cut[0])
-    coeff: dict[int, int] = {}
     if method == "bucket":
-        neg = [-n for n in cut]  # ascending
-        for pp in islice(entries, n_inside):
-            # largest j with pp <= N_j
-            j = bisect_right(neg, -pp) - 1
-            p = base.get(pp, pp)
-            coeff[p] = coeff.get(p, 0) + (1 if j % 2 == 0 else -1)
+        # bisecting -pp in the ascending -N_j gives 1 + the largest j
+        # with pp <= N_j, and sign maps that to (-1)^j
+        ascending = [-n for n in cut]
+        sign = [0] + [1 if j % 2 == 0 else -1 for j in range(len(cut))]
+
+        def coeffs(select):
+            picked = map(neg, compress(entries, select))
+            return map(sign.__getitem__, map(bisect_right, repeat(ascending), picked))
     else:
-        # per-j prefix counts, spread onto prime powers by a difference array
-        span = [0] * (n_inside + 1)
-        for j, n in enumerate(cut):
-            cnt = bisect_right(entries, n, 0, n_inside)
-            s = (1 if j % 2 == 0 else -1) * (1 if j == 0 else 2)
-            if cnt > 0:
-                span[0] += s
-                span[cnt] -= s
-        running = 0
-        for i in range(n_inside):
-            running += span[i]
-            if running:
-                p = base.get(entries[i], entries[i])
-                coeff[p] = coeff.get(p, 0) + running
-    # only primes whose powers cancel are zero: delete those few in place
-    # rather than copy the map
-    for p in [p for p, c in coeff.items() if c == 0]:
-        del coeff[p]
-    return coeff
+        # band j, the prime powers inside cutoff j and outside j+1, takes
+        # the sum of the index weights up to j; bands ascend as j descends
+        inside = [bisect_right(entries, n, 0, n_inside) for n in cut] + [0]
+        bands, running = [], 0
+        for j in range(len(cut)):
+            running += (1 if j % 2 == 0 else -1) * (1 if j == 0 else 2)
+            bands.append((running, inside[j] - inside[j + 1]))
+        bands.reverse()
+
+        def coeffs(select):
+            return compress(chain.from_iterable(starmap(repeat, bands)), select)
+    return _pack(entries, n_inside, isqrt(sieve.limit), sieve._base, coeffs)
 
 
-def coefficients_value(coeff: dict[int, int], ctx: PrecisionContext) -> mpf:
+def coefficients_value(coeff, ctx: PrecisionContext) -> mpf:
     """sum coeff[p] log p as sum_c c log(prod of the primes with
     coefficient c): one log per class, each product taken in ascending
     prime order and the classes added in ascending c, so the bits depend
-    only on the map, not on its insertion order."""
-    classes: dict[int, list[int]] = {}
-    for p in sorted(coeff):
-        classes.setdefault(coeff[p], []).append(p)
+    only on the map, not on its insertion order.  `coeff` is a
+    PrimeCoefficients or any mapping prime -> int, sorted once into one;
+    each class streams from the arrays, so no per-class list exists."""
+    if not isinstance(coeff, PrimeCoefficients):
+        coeff = PrimeCoefficients.from_mapping(coeff)
+    primes, counts = coeff.primes, coeff.counts
     prec = ctx.bits + ctx.guard_bits
     with ctx.workprec():
         total = mpf(0)
-        for c in sorted(classes):
-            primes = classes[c]
-            total += c * _log_products(primes, [len(primes)], prec)[0]
+        for c, size in sorted(Counter(counts).items()):
+            members = compress(primes, map(eq, counts, repeat(c)))
+            total += c * _log_products(members, [size], prec)[0]
         return total
 
 

@@ -2,14 +2,16 @@ import math
 import random
 import struct
 import sys
+import tracemalloc
 from array import array
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from cancelsum import (DomainError, LambdaSieve, PrecisionContext,
-                       ResourceError, build_sieve, coefficients_value,
+                       PrimeCoefficients, ResourceError, build_sieve, coefficients_value,
                        interval_union_measure, lambda_coefficients,
                        load_sieve, nstr_for_bits, psi, psi_interval_half,
                        psi_weak_pentagonal, save_sieve, to_fraction_exact)
@@ -208,11 +210,11 @@ def test_bucket_equals_direct_seeded(sieve100k, ctx128):
         assert vb == vd
 
 
-def _class_map(sieve):
+def _class_map(sieve, seed=2718):
     # three large classes whose products fold many times, plus one-prime
     # classes with |c| >= 2 whose small terms make the class order matter
     # to the rounding of the total
-    rng = random.Random(2718)
+    rng = random.Random(seed)
     coeff = {p: rng.choice((-1, -1, 1, 1, 1, 2)) for pp, p in pairs(sieve) if pp == p}
     coeff.update({3: 7, 5: -9, 7: 11, 11: -5, 13: 13, 17: -17})
     return coeff
@@ -229,6 +231,34 @@ def test_coefficients_value_ignores_insertion_order(sieve100k, ctx128):
         orders.append(list(items))
     for order in orders:
         assert coefficients_value(dict(order), ctx128) == want
+
+
+def test_prime_coefficients_from_mapping():
+    coeff = PrimeCoefficients.from_mapping({7: 2, 2: -1, 5: 0, 3: 1})
+    assert list(coeff.items()) == [(2, -1), (3, 1), (5, 0), (7, 2)]
+    assert coeff[5] == 0 and 4 not in coeff
+
+
+def _value_by_class_lists(coeff, ctx):
+    # the dict-of-lists form the arrays replaced: the same products and
+    # the same ascending class order, so the bits must match
+    classes = {}
+    for p in sorted(coeff):
+        classes.setdefault(coeff[p], []).append(p)
+    prec = ctx.bits + ctx.guard_bits
+    with ctx.workprec():
+        total = mpf(0)
+        for c in sorted(classes):
+            total += c * primes._log_products(classes[c], [len(classes[c])], prec)[0]
+        return total
+
+
+def test_coefficients_value_matches_class_lists(sieve100k, ctx128):
+    # classes taken in another order than ascending c change the last bit
+    # of the total for about one seed in four
+    maps = [_class_map(sieve100k, seed) for seed in range(8)]
+    for coeff in maps + [lambda_coefficients(90, 3000, sieve100k)]:
+        assert coefficients_value(coeff, ctx128) == _value_by_class_lists(coeff, ctx128)
 
 
 def test_coefficients_value_against_fsum(sieve100k, ctx128):
@@ -252,6 +282,78 @@ def test_coefficients_are_bounded_counts(sieve600):
     for p, c in coeff.items():
         assert isinstance(c, int)
         assert abs(c) <= 2 * L + 1
+
+
+def _coefficients_by_definition(x, T, limit):
+    # c_p straight from the definition: each l with l^2 < xT adds (-1)^l
+    # for each prime power n <= N_|l| = floor(e^sqrt(x - l^2/T)) to the
+    # coefficient of its prime; cutoffs at 256 bits, prime powers from
+    # the independent flag sieve
+    flags = bool_prime_sieve(limit)
+    powers = []
+    for p in range(2, limit + 1):
+        if flags[p]:
+            pp = p
+            while pp <= limit:
+                powers.append((pp, p))
+                pp *= p
+    xf, Tf = Fraction(x), Fraction(T)
+    coeff = {}
+    j = 0
+    while j * j < xf * Tf:
+        t = xf - Fraction(j * j) / Tf
+        with mp.workprec(256):
+            N = int(mp.floor(mp.exp(mp.sqrt(mpf(t.numerator) / t.denominator))))
+        weight = (-1) ** j * (1 if j == 0 else 2)
+        for pp, p in powers:
+            if pp <= N:
+                coeff[p] = coeff.get(p, 0) + weight
+        j += 1
+    return {p: c for p, c in coeff.items() if c}
+
+
+# x from below isqrt(600) = 24, where only primes that have several
+# powers occur, to e^sqrt(40) ~ 558; one l, few l and hundreds of l; at
+# x = 39.4 the last prime power inside, 529 = 23^2, is a higher power
+ORACLE_CASES = [(5, 7), (Fraction(19, 2), 40), (20, Fraction(1000, 3)), (33, 17),
+                (Fraction(301, 10), 5000), (Fraction(197, 5), 100), (40, Fraction(1, 40)),
+                (40, 3000)]
+
+
+@pytest.mark.parametrize("method", primes.PSI_METHODS)
+def test_coefficients_match_definition(sieve600, ctx128, method):
+    dropped = False
+    for x, T in ORACLE_CASES:
+        want = _coefficients_by_definition(x, T, 600)
+        got = lambda_coefficients(x, T, sieve600, method=method)
+        assert isinstance(got, PrimeCoefficients)
+        assert got == want
+        assert list(got) == sorted(want) and len(got) == len(want)
+        assert [got[p] for p in got] == [want[p] for p in sorted(want)]
+        assert coefficients_value(got, ctx128) == coefficients_value(want, ctx128)
+        # a prime whose powers cancel is absent, not zero
+        dropped |= any(p not in got for pp, p in pairs(sieve600) if pp <= 24)
+        for absent in (1, 4, 25, 601):
+            assert absent not in got
+            with pytest.raises(KeyError):
+                got[absent]
+    assert dropped
+
+
+def test_coefficients_peak_memory(sieve1m, ctx128):
+    # two 8-byte arrays over the primes: about 18 bytes per prime power
+    # at the peak of both steps, where a dict over the primes took about
+    # 90; x = 160 keeps 27,070 prime powers, few enough that tracing every
+    # allocation stays fast
+    n_inside = bisect_right(sieve1m.entries, primes._cutoffs(160, 30, sieve1m)[0])
+    for method in primes.PSI_METHODS:
+        tracemalloc.start()
+        try:
+            coefficients_value(lambda_coefficients(160, 30, sieve1m, method=method), ctx128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * n_inside, (method, peak / n_inside)
 
 
 # ---------------------------------------------------------------------------
