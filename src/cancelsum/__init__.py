@@ -3,7 +3,7 @@ alternating sums over quadratic index sets.
 
 Submodules:
   numerics   precision policy, exact conversions
-  partition  exact partition table, pentagonal checksum, p1..p4 kernels
+  partition  exact partition table, pentagonal checksum, Rademacher kernels
   oscsum     quadratic forms, kernel specs, alternating sums and bounds
   primes     prime-power sieve, Chebyshev psi sums, interval halving, LSIV files
   pte        power-sum difference pairs and the alternating polynomial law
@@ -16,8 +16,7 @@ from .errors import (CancelsumError, DegenerateFitError, DegreeMismatchError,
                      QuadratureError, ResourceError)
 from .numerics import (PrecisionContext, context_for, nstr_for_bits, rate_value,
                        required_bits, to_fraction_exact, to_mpf_exact)
-from .partition import (ExactPartitionTable, p1, p2, p3, p4, partition_exact,
-                        pentagonal, pnt_checksum)
+from .partition import ExactPartitionTable, partition_exact, pentagonal, pnt_checksum
 from .oscsum import (KernelSpec, QuadraticForm, SumReport, alternating_sum,
                      bound_main1, bound_main2, complex_exp_kernel, delta,
                      empirical_exponent, exp_sqrt_kernel, maximize_delta,

@@ -1,12 +1,12 @@
 """Command-line front end: every experiment as a subcommand emitting
-CSV or JSON rows.
+CSV rows.
 
 argparse is the one input layer.  Each flag is declared once, with its
-type, default and choices, on the subcommands that read it: --format on
-all of them, --bits on those that choose a working precision, and
---sieve-cache on psi-sum and psi-half.  High-precision values serialize
-as decimal strings, never binary floats, and identical arguments
-produce byte-identical output.
+type, default and choices, on the subcommands that read it: --bits on
+those that choose a working precision, and --sieve-cache on psi-sum and
+psi-half.  Each row is a dict whose keys, in order, are the CSV header.
+High-precision values serialize as decimal strings, never binary
+floats, and identical arguments produce byte-identical output.
 
 Exit codes: 0 success, 1 violated identity or failed check,
 2 usage/domain error, 3 resource error.  Every error, argparse usage
@@ -102,15 +102,10 @@ def _resolve_ctx(bits, x, rate) -> PrecisionContext:
     return context_for(x, rate) if bits is None else PrecisionContext(bits=bits)
 
 
-def _rademacher(args) -> oscsum.KernelSpec:
-    return oscsum.rademacher_kernel(args.kernel)
-
-
 # --kernel and --form: each name and the constructor it selects, in the
 # order --help lists them
 _KERNELS = {
-    "p1": _rademacher, "p2": _rademacher, "p3": _rademacher, "p4": _rademacher,
-    "sqrt_p1": _rademacher,
+    **dict.fromkeys(partition.RADEMACHER, lambda args: oscsum.rademacher_kernel(args.kernel)),
     "exp_sqrt": lambda args: oscsum.exp_sqrt_kernel(args.c),
     "power": lambda args: oscsum.power_kernel(args.k_half),
     "complex_exp": lambda args: oscsum.complex_exp_kernel(args.alpha, args.beta, args.T),
@@ -122,14 +117,12 @@ _FORMS = {
 }
 
 
-def _emit(rows: list, columns: list, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
-        return
-    writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: "" if row.get(k) is None else row[k] for k in columns})
+def _emit(rows: list) -> None:
+    """CSV on stdout: the first row's keys are the header, and None prints
+    as an empty field."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
 
 
 def _sieve_for(limit: int, path) -> primes.LambdaSieve:
@@ -165,12 +158,8 @@ def cmd_pnt_verify(args) -> int:
                 first = x
     status = "ok" if failures == 0 else "violated"
     _emit([{"x_max": x_max, "failures": failures, "first_failure": first,
-            "status": status}],
-          ["x_max", "failures", "first_failure", "status"], args.format)
+            "status": status}])
     return 0 if failures == 0 else 1
-
-
-_SUM_COLUMNS = ["x", "re", "im", "abs", "terms", "bound", "ratio", "bits"]
 
 
 def cmd_osc_sum(args) -> int:
@@ -184,7 +173,7 @@ def cmd_osc_sum(args) -> int:
             bound = oscsum.bound_main1(q.a, kernel.growth, x, ctx)
         report = oscsum.alternating_sum(kernel, q, x, ctx, predicted_bound=bound)
         rows.append(report.to_json_dict())
-    _emit(rows, _SUM_COLUMNS, args.format)
+    _emit(rows)
     return 0
 
 
@@ -200,7 +189,7 @@ def cmd_bound(args) -> int:
                          "alpha_star": nstr_for_bits(alpha_star, 128),
                          "w": nstr_for_bits(w, 128),
                          "bound": nstr_for_bits(b, ctx.bits)})
-        _emit(rows, ["x", "a", "alpha_star", "w", "bound"], args.format)
+        _emit(rows)
         return 0
     alpha, beta, T, slack = args.alpha, args.beta, args.T, args.delta_slack
     for x in args.x:
@@ -208,7 +197,7 @@ def cmd_bound(args) -> int:
         rows.append({"x": str(x), "alpha": str(alpha), "beta": str(beta),
                      "T": str(T), "delta_slack": str(slack),
                      "bound": nstr_for_bits(b, 192)})
-    _emit(rows, ["x", "alpha", "beta", "T", "delta_slack", "bound"], args.format)
+    _emit(rows)
     return 0
 
 
@@ -218,9 +207,7 @@ def cmd_psi_sum(args) -> int:
     sieve = _sieve_for(primes.sieve_limit(x), args.sieve_cache)
     report = primes.psi_weak_pentagonal(x, T, sieve, ctx, method=args.method)
     row = report.to_json_dict()
-    row["T"] = str(T)
-    row["method"] = args.method
-    _emit([row], ["x", "T", "method"] + _SUM_COLUMNS[1:], args.format)
+    _emit([{"x": row.pop("x"), "T": str(T), "method": args.method, **row}])
     return 0
 
 
@@ -229,18 +216,14 @@ def cmd_psi_half(args) -> int:
     ctx = _resolve_ctx(args.bits, x, 0)
     sieve = _sieve_for(primes.sieve_limit(x), args.sieve_cache)
     report = primes.psi_interval_half(x, T, sieve, ctx)
-    row = {"x": str(x), "T": str(T)}
-    row.update(report.to_json_dict())
-    _emit([row], ["x", "T", "lhs", "rhs", "rel_err", "boundary", "ell_max",
-                  "psi_full", "bits"], args.format)
+    _emit([{"x": str(x), "T": str(T), **report.to_json_dict()}])
     return 0
 
 
 def cmd_pte_construct(args) -> int:
     pair = pte.construct_pair(args.n, args.m)
     _emit([{"n": args.n, "m": args.m, "N": pair.N, "adjusted": pair.adjusted,
-            "k_regime": pte.k_regime(args.n, args.m)}],
-          ["n", "m", "N", "adjusted", "k_regime"], args.format)
+            "k_regime": pte.k_regime(args.n, args.m)}])
     return 0
 
 
@@ -248,27 +231,25 @@ def cmd_pte_verify(args) -> int:
     r_max = args.r_max if args.r_max is not None else pte.k_regime(args.n, args.m)
     pte.check_power_sum_budget(args.n, r_max)  # before any work
     pair = pte.construct_pair(args.n, args.m)
-    rows = [row.to_json_dict() for row in pte.verify_pte_bound(pair, r_max)]
-    _emit(rows, ["r", "diff", "bound", "ratio", "within_regime"], args.format)
+    _emit([row.to_json_dict() for row in pte.verify_pte_bound(pair, r_max)])
     return 0
 
 
 def cmd_frm_degree(args) -> int:
+    if args.r_max is not None and args.r_max < 1:
+        raise DomainError("r_max must be >= 1")
     r_values = [args.r] if args.r is not None else range(1, args.r_max + 1)
-    if r_values and r_values[-1] > pte.MAX_POWER:  # before any work
+    if r_values[-1] > pte.MAX_POWER:  # before any work
         raise ResourceError("r = %d exceeds budget %d" % (r_values[-1], pte.MAX_POWER))
-    as_json = args.format == "json"
     rows = []
     for r in r_values:
         degree, poly = pte.detect_degree(r)
-        coeffs = [str(c) for c in poly.coeffs]
         rows.append({"r": r, "degree": degree,
-                     "coeffs": coeffs if as_json else ";".join(coeffs),
+                     "coeffs": ";".join(str(c) for c in poly.coeffs),
                      "max_abs_coeff": str(max(abs(c) for c in poly.coeffs)),
                      "bound_ok": pte.coefficient_bound_check(r, poly),
                      "poly": str(poly)})
-    _emit(rows, ["r", "degree", "coeffs", "max_abs_coeff", "bound_ok", "poly"],
-          args.format)
+    _emit(rows)
     return 0
 
 
@@ -280,8 +261,7 @@ def cmd_lemma_sum(args) -> int:
     text = str(value) if exact else nstr_for_bits(value, ctx.bits)
     bound = pte.lemma_bound(x, T, k, u, ctx)
     _emit([{"x": str(x), "T": str(T), "k": k, "u": str(u), "value": text,
-            "exact_rational": exact, "bound": nstr_for_bits(bound, ctx.bits)}],
-          ["x", "T", "k", "u", "value", "exact_rational", "bound"], args.format)
+            "exact_rational": exact, "bound": nstr_for_bits(bound, ctx.bits)}])
     return 0
 
 
@@ -297,17 +277,9 @@ def cmd_contour_check(args) -> int:
     ctx = PrecisionContext(bits=bits)
     report = contour_mod.residue_identity_check(kernel, q, x, u, ctx)
     row = report.to_json_dict()
-    row["u"] = str(u)
-    if args.format == "csv":
-        flat = dict(row)
-        mags = flat.pop("leg_mags")
-        for i, m in enumerate(mags, start=1):
-            flat["leg%d" % i] = m
-        _emit([flat], ["x", "u", "quad_re", "quad_im", "discrete_re",
-                       "discrete_im", "rel_err", "leg1", "leg2", "leg3",
-                       "leg4"], args.format)
-    else:
-        _emit([row], [], args.format)
+    legs = row.pop("leg_mags")
+    _emit([{"x": row.pop("x"), "u": str(u), **row,
+            **{"leg%d" % i: m for i, m in enumerate(legs, start=1)}}])
     threshold = args.max_rel_err
     if threshold is not None and report.rel_err > to_mpf_exact(threshold):
         return 1
@@ -324,15 +296,13 @@ def cmd_exponent_fit(args) -> int:
         samples.append((float(x), report.abs_value))
     w_hat, intercept, rms = oscsum.empirical_exponent(samples)
     _emit([{"points": len(samples), "w_hat": repr(w_hat),
-            "intercept": repr(intercept), "rms": repr(rms)}],
-          ["points", "w_hat", "intercept", "rms"], args.format)
+            "intercept": repr(intercept), "rms": repr(rms)}])
     return 0
 
 
 def cmd_pigeonhole(args) -> int:
     c = pte.pigeonhole_c(args.n, args.k)
-    _emit([{"n": args.n, "k": args.k, "c": str(c), "c_float": float(c)}],
-          ["n", "k", "c", "c_float"], args.format)
+    _emit([{"n": args.n, "k": args.k, "c": str(c), "c_float": float(c)}])
     return 0
 
 
@@ -351,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, run, precision=False, sieve_cache=False):
         sp = sub.add_parser(name, allow_abbrev=False)
         sp.set_defaults(run=run)
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if precision:
             sp.add_argument("--bits", type=_bits, default="auto",
                             help="precision bits or 'auto'")

@@ -124,15 +124,6 @@ def square_form(T: Rational = 1) -> QuadraticForm:
     return QuadraticForm(Fraction(1, 1) / Fraction(T), Fraction(0), Fraction(0))
 
 
-_RADEMACHER = {
-    "p1": (partition.bind_p1, partition.growth_p1),
-    "p2": (partition.bind_p2, partition.growth_p1),
-    "p3": (partition.bind_p3, partition.growth_p3),
-    "p4": (partition.bind_p4, partition.growth_p1),
-    "sqrt_p1": (partition.bind_sqrt_p1, partition.growth_p3),
-}
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """A named kernel family.
@@ -153,7 +144,8 @@ class KernelSpec:
     returns mpmath's raw `_mpc_` pairs and makes the same mpmath.libmp
     calls, rounded "n", as the mpc operators it stands for, so its
     values are theirs bit for bit.  bind_complex is None when the
-    family has no complex continuation wired up.
+    family has no complex continuation wired up.  A Rademacher kernel's
+    bind_real is its binder in partition.RADEMACHER.
     """
 
     family: str
@@ -193,10 +185,10 @@ def exp_sqrt_kernel(c) -> KernelSpec:
 
 def rademacher_kernel(name: str) -> KernelSpec:
     """Truncated Hardy-Ramanujan-Rademacher kernels p1, p2, p3, p4 and
-    the square-root variant sqrt_p1."""
-    if name not in _RADEMACHER:
+    the square-root variant sqrt_p1, as partition.RADEMACHER binds them."""
+    if name not in partition.RADEMACHER:
         raise DomainError("unknown rademacher kernel %r" % (name,))
-    bind_real, growth = _RADEMACHER[name]
+    bind_real, growth = partition.RADEMACHER[name]
     return KernelSpec("rademacher", growth, True, bind_real)
 
 

@@ -10,7 +10,8 @@ and the alternating checksum over all pentagonal shifts of a given x
 must vanish identically, which is the first acceptance gate.
 
 The kernels p1..p4 are the explicitly printed one/two/four-term
-truncations of the Hardy-Ramanujan-Rademacher series.
+truncations of the Hardy-Ramanujan-Rademacher series; RADEMACHER lists
+them, and sqrt(p1), each with its binder and growth rate.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _as_positive_int(x) -> int:
     return xf.numerator
 
 
-# Each bind_* rounds its kernel's constants once, at the context's working
+# Each binder rounds its kernel's constants once, at the context's working
 # precision, and returns y -> kernel(y) as an mpf.  The kernel makes the
 # mpmath.libmp calls, rounded "n", that the mpf operators of the printed
 # formula make, so its values are theirs bit for bit.  In particular
@@ -199,34 +200,12 @@ def bind_sqrt_p1(ctx: PrecisionContext):
     return lambda y: mp.make_mpf(mpf_sqrt(p1(y), prec, "n"))
 
 
-def bind_p2(ctx: PrecisionContext):
-    """Two-term truncation: the dominant pair of the main Rademacher term."""
-    return _bind_pairs(ctx, _P2)
-
-
-def bind_p3(ctx: PrecisionContext):
-    """Second pair of Rademacher terms, carrying the sign (-1)^x."""
-    return _bind_pairs(ctx, _P3)
-
-
-def bind_p4(ctx: PrecisionContext):
-    """Four-term truncation p2 + p3."""
-    return _bind_pairs(ctx, _P2, _P3)
-
-
-# Each kernel at a single argument, binding its constants for that call.
-
-def p1(x, ctx: PrecisionContext) -> mpf:
-    return bind_p1(ctx)(x)
-
-
-def p2(x, ctx: PrecisionContext) -> mpf:
-    return bind_p2(ctx)(x)
-
-
-def p3(x, ctx: PrecisionContext) -> mpf:
-    return bind_p3(ctx)(x)
-
-
-def p4(x, ctx: PrecisionContext) -> mpf:
-    return bind_p4(ctx)(x)
+# Every Rademacher kernel: name -> (binder, growth rate), in the order
+# --kernel lists them.
+RADEMACHER = {
+    "p1": (bind_p1, growth_p1),
+    "p2": (lambda ctx: _bind_pairs(ctx, _P2), growth_p1),
+    "p3": (lambda ctx: _bind_pairs(ctx, _P3), growth_p3),
+    "p4": (lambda ctx: _bind_pairs(ctx, _P2, _P3), growth_p1),  # p2 + p3
+    "sqrt_p1": (bind_sqrt_p1, growth_p3),
+}

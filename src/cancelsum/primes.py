@@ -33,7 +33,8 @@ from itertools import chain, compress, islice, repeat, starmap
 from math import isqrt
 from operator import eq, neg
 
-from mpmath import iv, mp, mpc, mpf
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_rational, mpf_exp, mpf_sqrt, to_int
 
 from .errors import DomainError, ResourceError
 from .numerics import PrecisionContext, nstr_for_bits, to_fraction_exact, to_mpf_exact
@@ -157,7 +158,7 @@ def psi(y, sieve: LambdaSieve, ctx: PrecisionContext) -> mpf:
         raise DomainError("psi argument %s exceeds sieve limit %d" % (y, sieve.limit))
     yf = to_fraction_exact(y)
     count = bisect_right(sieve.entries, yf.numerator // yf.denominator)
-    return sieve.arrays_at([count], ctx.bits + ctx.guard_bits)[0]
+    return sieve.arrays_at([count], ctx.work_bits)[0]
 
 
 def _ell_max(x, T) -> int:
@@ -172,23 +173,22 @@ def _ell_max(x, T) -> int:
 
 def _cutoff(t: Fraction, limit: int) -> int:
     """floor(e^sqrt(t)) for rational t > 0, exactly; DomainError when it
-    exceeds `limit`.  Interval bounds start at 64 bits and double until
-    both floors agree.  That always ends: e^sqrt(t) is transcendental
+    exceeds `limit`.  A lower and an upper bound, each step rounded down
+    ("f") or up ("c"), start at 64 bits and double until both floors
+    agree.  That always ends: e^sqrt(t) is transcendental
     (Lindemann-Weierstrass), so it is never an integer."""
-    saved = iv.prec
-    iv.prec = 64
-    try:
-        while True:
-            v = iv.exp(iv.sqrt(iv.mpf(t.numerator) / t.denominator))
-            if v.a >= limit + 1:
-                raise DomainError("cutoff e^sqrt(%s) lies beyond the sieve limit %d"
-                                  % (t, limit))
-            lo, hi = int(v.a), int(v.b)
-            if lo == hi:
-                return lo
-            iv.prec *= 2
-    finally:
-        iv.prec = saved
+    def floor_of_bound(prec, rnd):
+        root = mpf_sqrt(from_rational(t.numerator, t.denominator, prec, rnd), prec, rnd)
+        return to_int(mpf_exp(root, prec, rnd), "f")
+
+    prec = 64
+    while True:
+        lo = floor_of_bound(prec, "f")
+        if lo > limit:
+            raise DomainError("cutoff e^sqrt(%s) lies beyond the sieve limit %d" % (t, limit))
+        if lo == floor_of_bound(prec, "c"):
+            return lo
+        prec *= 2
 
 
 def _cutoffs(x, T, sieve: LambdaSieve) -> list[int]:
@@ -311,7 +311,7 @@ def coefficients_value(coeff, ctx: PrecisionContext) -> mpf:
     if not isinstance(coeff, PrimeCoefficients):
         coeff = PrimeCoefficients.from_mapping(coeff)
     primes, counts = coeff.primes, coeff.counts
-    prec = ctx.bits + ctx.guard_bits
+    prec = ctx.work_bits
     with ctx.workprec():
         total = mpf(0)
         for c, size in sorted(Counter(counts).items()):
@@ -385,7 +385,7 @@ def psi_interval_half(x, T, sieve: LambdaSieve, ctx: PrecisionContext) -> Interv
     L = len(counts) - 1
     extra = HALF_HEADROOM_BITS
     for _ in range(2):
-        prec = ctx.bits + ctx.guard_bits + extra
+        prec = ctx.work_bits + extra
         psi_at = sieve.arrays_at(counts, prec)
         with mp.workprec(prec):
             lhs = mpf(0)
@@ -399,7 +399,7 @@ def psi_interval_half(x, T, sieve: LambdaSieve, ctx: PrecisionContext) -> Interv
         if cancelled <= extra:
             break
         extra = cancelled
-    boundary = sieve.arrays_at(counts[L:], ctx.bits + ctx.guard_bits)[0] if L % 2 else mpf(0)
+    boundary = sieve.arrays_at(counts[L:], ctx.work_bits)[0] if L % 2 else mpf(0)
     return IntervalHalfReport(lhs=lhs, rhs=rhs, rel_err=rel_err, boundary=boundary,
                               ell_max=L, psi_full=full, precision_bits=ctx.bits)
 

@@ -85,11 +85,18 @@ def test_unknown_form_exit_2(capsys):
 
 
 def test_bad_format_choice_usage_error(capsys):
+    # CSV is the only output: --format, with any value, is an unknown flag
     code, out, err = run(["pnt-verify", "--x-max", "5", "--format", "xml"], capsys)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1
     assert "xml" in json.loads(err)["error"]
+
+
+def test_kernel_choices_in_help_order():
+    # the Rademacher names come from partition.RADEMACHER, in its order
+    assert list(_KERNELS) == ["p1", "p2", "p3", "p4", "sqrt_p1", "exp_sqrt", "power",
+                              "complex_exp"]
 
 
 def test_help_still_exits_0(capsys):
@@ -114,6 +121,8 @@ def test_resource_error_exit_3(capsys):
     ["osc-sum", "--x-grid", "geom:1:2"],
     ["bound", "--a", "-1", "--x", "10"],
     ["frm-degree", "--r", "0"],
+    ["frm-degree", "--r-max", "0"],
+    ["frm-degree", "--r-max", "-1"],
     ["osc-sum", "--bogus", "1"],
     ["osc-sum", "--x", "10", "--format", "xml"],
     ["contour-check", "--x", "1/10", "--kernel", "exp_sqrt", "--c", "1",
@@ -122,6 +131,8 @@ def test_resource_error_exit_3(capsys):
     # removed flags: a config file and an output path (use > PATH)
     ["pnt-verify", "--config", "f"],
     ["osc-sum", "--x", "10", "--out", "f"],
+    # removed: a choice of output format (CSV is the only one)
+    ["pnt-verify", "--x-max", "5", "--format", "csv"],
     # removed: the Bessel kernel and its order, synthetic fits, the
     # contour tolerance (always 1e-14) and linear grids
     ["osc-sum", "--x", "10", "--kernel", "bessel"],
@@ -199,13 +210,12 @@ def test_cli_import_leaves_numpy_out():
 
 def test_byte_identical_runs(capsys):
     argv = ["osc-sum", "--x", "2000", "--kernel", "p2", "--bits", "300"]
-    for fmt in ("csv", "json"):
-        outs = []
-        for _ in range(2):
-            code, out, _ = run(argv + ["--format", fmt], capsys)
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1]
+    outs = []
+    for _ in range(2):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 # --config is not a flag: whatever the file holds, the flag itself is the
@@ -281,13 +291,12 @@ def test_version_2_sieve_cache_fails(tmp_path):
 
 
 def test_osc_sum_row(capsys):
-    code, out, _ = run(["osc-sum", "--x", "2000", "--kernel", "p2",
-                        "--format", "json"], capsys)
+    code, out, _ = run(["osc-sum", "--x", "2000", "--kernel", "p2"], capsys)
     assert code == 0
-    (row,) = json.loads(out)
+    (row,) = rows_of(out)
     assert row["x"] == "2000"
-    assert row["terms"] == 73
-    assert row["bits"] == 262
+    assert row["terms"] == "73"
+    assert row["bits"] == "262"
     assert abs(float(row["abs"]) - 0.01209285103186) < 1e-11
     # ratio column is recomputable from the row
     assert abs(float(row["ratio"]) - float(row["abs"]) / float(row["bound"])) < 1e-12
@@ -397,16 +406,6 @@ def test_pte_verify_table(capsys):
     assert all(r["within_regime"] == "True" for r in rows)
 
 
-def test_frm_degree_json(capsys):
-    code, out, _ = run(["frm-degree", "--r", "2", "--format", "json"], capsys)
-    assert code == 0
-    (row,) = json.loads(out)
-    assert row["r"] == 2
-    assert row["degree"] == 1
-    assert row["coeffs"] == ["0", "-2"]
-    assert row["bound_ok"] is True
-
-
 def test_frm_degree_csv_sweep(capsys):
     code, out, _ = run(["frm-degree", "--r-max", "4"], capsys)
     assert code == 0
@@ -473,16 +472,6 @@ def test_contour_check_gate(capsys):
 
     code, _, _ = run(argv + ["--max-rel-err", "1e-30"], capsys)
     assert code == 1
-
-
-def test_contour_check_json_keys(capsys):
-    code, out, _ = run(["contour-check", "--x", "0.1", "--kernel", "exp_sqrt",
-                        "--c", "1", "--format", "json"], capsys)
-    assert code == 0
-    (row,) = json.loads(out)
-    assert set(row) == {"x", "u", "quad_re", "quad_im", "discrete_re",
-                        "discrete_im", "rel_err", "leg_mags"}
-    assert len(row["leg_mags"]) == 4
 
 
 _CONTOUR_HEADER = "x,u,quad_re,quad_im,discrete_re,discrete_im,rel_err,leg1,leg2,leg3,leg4"
@@ -597,14 +586,41 @@ def test_osc_sum_stdout_pinned(capsys, kernel, form, rows):
     assert out == _OSC_HEADER + "\n" + "\n".join(rows) + "\n"
 
 
-def test_osc_sum_readme_grid_pinned(capsys):
-    # the README's p2 grid, 20 rows at 128 to 467 bits, by the sha256 of
-    # its stdout as first recorded
-    code, out, err = run(["osc-sum", "--kernel", "p2", "--form", "pentagonal",
-                          "--x-grid", "geom:100:10000:20"], capsys)
+_README_STDOUT = {
+    "pnt-verify --x-max 2000":
+        "471cd341e48c9ed18ffbb9074a6d3ce9812754cd212aef599e1066cc2f857862",
+    "osc-sum --kernel p2 --form pentagonal --x-grid geom:100:10000:20":
+        "23b00ea82b136de325f3c2737d35db821b347e78ad6075ad7f1b7e78ab245e23",
+    "bound --family main1 --a 3/2 --c growth-p1 --x 1000":
+        "f417ad98024a9032a036d7f92a3890d922e91133e25326d0295af38e73c29a44",
+    "psi-sum --x 40 --T 3000":
+        "eb77aea915d2553ecbc186ca1b27bce53e22db3191df1ef44af62f0c04f5e159",
+    "psi-half --x 40 --T 3000":
+        "40fac6309ad07da022cc84dd95be6b9b34a8cc93bf363468405d61f30323d6cb",
+    "pte-construct --n 100 --m 1":
+        "c70446e79efb7b589c789265cdc474c316669fc76bb7f033a6402f334d6d1cb1",
+    "pte-verify --n 100 --m 1":
+        "7582633753df8445377617d5ad8c3fd7a396e1e82a7ad65d3f17bc6c1d50e045",
+    "frm-degree --r-max 16":
+        "e9c513cccbc00f6d54af300256aaf20de768907ec19f55cd0faedf11dd541382",
+    "lemma-sum --x 1 --T 4 --k 2":
+        "ba87f6af108cd61aa3923e0ae523531d5de136fabda31f7f12c1c08e19216144",
+    "contour-check --x 50 --kernel exp_sqrt --c 1 --form square --max-rel-err 1e-12":
+        "909a61d60c013b0a62506645567b980680fbea36c77d74e23e63f759ae7b9d57",
+    "exponent-fit --kernel p2 --form pentagonal --x-grid geom:500:4000:8":
+        "7a8b05895744609433bb721236fa192b3b09f0484287ed1362677a2df392ac76",
+    "pigeonhole --n 100 --k 20":
+        "ec2efa29583c68f0e667f493439c85e53fc87834fb8eb1995618558fb8dc8641",
+}
+
+
+@pytest.mark.parametrize("command", list(_README_STDOUT), ids=lambda c: c.split()[0])
+def test_readme_stdout_pinned(capsys, command):
+    # each README command by the sha256 of its stdout as first recorded:
+    # its header (the row's keys, in order) and every digit
+    code, out, err = run(command.split(), capsys)
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "23b00ea82b136de325f3c2737d35db821b347e78ad6075ad7f1b7e78ab245e23"
+    assert hashlib.sha256(out.encode()).hexdigest() == _README_STDOUT[command]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -676,12 +692,12 @@ _POLICY_CASES = {
 }
 
 
-def _json_row(argv) -> dict:
+def _csv_row(argv) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--format", "json"])
+        code = main(argv)
     assert (code, err.getvalue()) == (0, "")
-    (row,) = json.loads(out.getvalue())
+    (row,) = rows_of(out.getvalue())
     return row
 
 
@@ -690,16 +706,16 @@ def _json_row(argv) -> dict:
 @given(data=st.data())
 def test_policy_bits_agree_with_64_more(case, data):
     # each compared column, against the size of the terms its value sums
-    # (None: against the value itself)
+    # (None: against the value itself); an empty field is no value
     argv, bits, scales = data.draw(st.composite(_POLICY_CASES[case])())
-    at_policy = _json_row(argv)
-    above = _json_row(argv + ["--bits", str(bits + 64)])
-    assert at_policy.get("bits", bits) == bits
+    at_policy = _csv_row(argv)
+    above = _csv_row(argv + ["--bits", str(bits + 64)])
+    assert int(at_policy.get("bits", bits)) == bits
     with mp.workprec(bits + 128):
         tol = mpf(2) ** (8 - bits)
         for column, scale in scales.items():
-            if at_policy[column] is None:
-                assert above[column] is None
+            if at_policy[column] == "":
+                assert above[column] == ""
                 continue
             low, high = mpf(at_policy[column]), mpf(above[column])
             assert abs(low - high) <= tol * (abs(high) if scale is None else scale), column
@@ -730,9 +746,8 @@ def test_flags_only_where_read(command, capsys):
     # each flag parses only on the subcommands that read it
     base = [command] + _VALID[command]
     parser = _build_parser()
-    assert parser.parse_args(base + ["--format", "json"]).format == "json"
     for flag, owners in (("--bits", _PRECISION), ("--sieve-cache", _SIEVE),
-                         ("--config", ()), ("--out", ())):
+                         ("--config", ()), ("--out", ()), ("--format", ())):
         argv = base + [flag, "7"]
         if command in owners:
             args = parser.parse_args(argv)
@@ -746,7 +761,7 @@ def test_flags_only_where_read(command, capsys):
 # ---------------------------------------------------------------------------
 # property: any argv ends in an exit code and at most one error line
 
-_UNKNOWN_FLAGS = ["--bogus", "--config", "--out"]
+_UNKNOWN_FLAGS = ["--bogus", "--config", "--out", "--format"]
 _KERNEL_FLAGS = ["--kernel", "--c", "--form", "--T", "--a", "--b", "--d", "--alpha",
                  "--beta", "--k-half"]
 _FLAGS = {
@@ -767,7 +782,6 @@ _FLAGS = {
     "pigeonhole": ["--n", "--k"],
 }
 for _command, _flags in _FLAGS.items():
-    _flags.append("--format")
     if _command in _PRECISION:
         _flags.append("--bits")
     if _command in _SIEVE:

@@ -5,10 +5,18 @@ import pytest
 from mpmath import mp, mpf
 
 from cancelsum import (DomainError, ExactPartitionTable, PrecisionContext, ResourceError,
-                       p1, p2, p3, p4, partition_exact, pentagonal, pnt_checksum,
-                       rademacher_kernel)
-from cancelsum.partition import MAX_PARTITION_N
+                       partition_exact, pentagonal, pnt_checksum, rademacher_kernel)
+from cancelsum.partition import MAX_PARTITION_N, RADEMACHER
 from cancelsum.numerics import to_mpf_exact
+
+
+def _at_one_argument(name):
+    """(x, ctx) -> the Rademacher kernel `name` at x, bound for that call."""
+    bind, _ = RADEMACHER[name]
+    return lambda x, ctx: bind(ctx)(x)
+
+
+p1, p2, p3, p4 = map(_at_one_argument, ("p1", "p2", "p3", "p4"))
 
 
 def dp_partition_table(n_max: int) -> list:
