@@ -38,6 +38,10 @@ _RATE_TOKENS = {
 # Points in one generated --x-grid; the largest grid in use has 20.
 MAX_GRID_POINTS = 1_000
 
+# primes.PSI_METHODS, spelled out so that building the parser does not
+# execute primes; a test keeps the two equal
+PSI_METHODS = ("bucket", "direct")
+
 
 def _input_parser(convert):
     """The type= of one flag: malformed input becomes an argparse usage
@@ -365,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("psi-sum", cmd_psi_sum, precision=True, sieve_cache=True)
     required(sp, "--x", "--T")
-    sp.add_argument("--method", choices=primes.PSI_METHODS, default="bucket")
+    sp.add_argument("--method", choices=PSI_METHODS, default="bucket")
 
     sp = add("psi-half", cmd_psi_half, precision=True, sieve_cache=True)
     required(sp, "--x", "--T")

@@ -281,3 +281,45 @@ def test_criterion_11_prime_theorem_regime():
            % (", ".join("x=%d T=%d %.3g <= %.3g" % (x, T, float(rel), float(c))
                         for x, T, rel, c, _ in rows),
               w_hat, ", ".join("%.3g" % r for *_, r in rows), elapsed))
+
+
+def test_criterion_12_cancellation_beyond_random_signs():
+    # The abstract: these sums are much smaller than probabilistic
+    # heuristics predict.  Under the random-sign heuristic the signs of
+    # the terms K_n are independent fair coins, so the sum has standard
+    # deviation H = sqrt(sum K_n^2).  H comes from the very kernel values
+    # that make up S, in one pass, and S is alternating_sum's value.
+    t0 = time.monotonic()
+    grid = (10 ** 3, 3 * 10 ** 3, 10 ** 4, 3 * 10 ** 4, 10 ** 5)
+    # kernel, form, the bound's (a, c), and the least log(H/|S|)/sqrt(x)
+    # asserted; measured 0.969-1.018 and 2.351-2.553 on this grid
+    cases = {
+        "e^sqrt(x-n^2)": (exp_sqrt_kernel(1), square_form(1), 1, 1, 0.9),
+        "p2 pentagonal": (rademacher_kernel("p2"), pentagonal_form(), Fraction(3, 2),
+                          growth_p1, 2.3),
+    }
+    rows = []
+    for label, (kernel, q, a, c, margin) in cases.items():
+        for x in grid:
+            ctx = context_for(x, kernel.growth)
+            rep = alternating_sum(kernel, q, x, ctx)
+            lo, hi = q.index_range(x)
+            with ctx.workprec():
+                K = kernel.bind_real(ctx)
+                s = h2 = mpf(0)
+                for n, y in q.gaps(x, range(lo, hi + 1)):
+                    k = K(y)
+                    s += -k if n % 2 else k
+                    h2 += k * k
+                assert abs(s - rep.value) <= abs(rep.value) * mpf(2) ** -64
+                h = mp.sqrt(h2)
+                rate = float(mp.log(h / abs(s)) / mp.sqrt(x))
+            rows.append((label, x, abs(s), h, bound_main1(a, c, x, ctx), rate, margin))
+    elapsed = time.monotonic() - t0
+    ok = all(rate >= margin for *_, rate, margin in rows) and elapsed <= 10.0
+    report(12, ok,
+           "log(H/|S|)/sqrt(x) against the random-sign deviation H = sqrt(sum K^2), "
+           "as |S|, H, bound_main1, rate >= margin: %s; elapsed %.2fs (limit 10s)"
+           % ("; ".join("%s x=%d %s, %s, %s, %.3f >= %.1f"
+                        % (label, x, mp.nstr(s, 4), mp.nstr(h, 4), mp.nstr(b, 4), rate, m)
+                        for label, x, s, h, b, rate, m in rows), elapsed))

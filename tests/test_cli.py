@@ -198,10 +198,34 @@ def test_work_budget_exit_3(argv):
     assert_one_error_line(run_process(["-m", "cancelsum.cli"] + argv), 3)
 
 
-def test_cli_import_leaves_numpy_out():
-    proc = run_process(["-c", "import cancelsum.cli, sys; "
-                              "assert 'numpy' not in sys.modules"])
+# Runs one command in a fresh interpreter and prints the cancelsum
+# modules that are registered but have not executed.  A lazy module sits
+# in sys.modules from the package's import on, and reading any attribute
+# of it executes it, so only its type is read.
+_UNEXECUTED_PROBE = """
+import contextlib, io, sys, types
+import cancelsum.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cancelsum.cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+assert 'numpy' not in sys.modules
+print(' '.join(sorted(name for name, module in sys.modules.items()
+                      if name.startswith('cancelsum.')
+                      and type(module) is not types.ModuleType)))
+"""
+
+
+@pytest.mark.parametrize("argv, unexecuted", [
+    (["--help"], "contour oscsum primes pte"),
+    (["pnt-verify", "--x-max", "10"], "contour oscsum primes pte"),
+    (["osc-sum", "--x", "100"], "contour primes pte"),
+], ids=["help", "pnt-verify", "osc-sum"])
+def test_command_executes_only_the_modules_it_uses(argv, unexecuted):
+    proc = run_process(["-c", _UNEXECUTED_PROBE] + argv)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["cancelsum." + m for m in unexecuted.split()]
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +399,13 @@ def test_psi_sum_bad_method_before_sieve(tmp_path, capsys):
     assert out == ""
     assert "foo" in json.loads(err)["error"]
     assert not cache.exists()  # rejected before the sieve was built or written
+
+
+def test_psi_methods_pinned_to_primes():
+    # --method's choices are spelled out in cli so that building the
+    # parser does not execute primes
+    from cancelsum import cli, primes
+    assert cli.PSI_METHODS == primes.PSI_METHODS
 
 
 def test_psi_half_row(capsys):
