@@ -7,14 +7,19 @@ sieve serves every precision context.
 
 Every psi value counts prime powers by one rule: n lies inside cutoff j
 iff n <= N_j = floor(e^{sqrt(x - j^2/T)}), an exact integer computed
-once per index.  psi_weak_pentagonal aggregates per prime power (bucket
-method: each n contributes Lambda(n) * (-1)^{J(n)} where J(n) is the
-largest j with n <= N_j) or per index j (direct method, one prefix count
-per j).  Both produce an exact integer coefficient per prime, so their
-results agree bit for bit, which is what the oracle-equivalence gate
-checks.  Precision enters only through the sums of log p, and each is
-one log per coefficient class or cutoff band, of an exact product
-folded at working precision (the grouped products of Bernstein, "Fast
+once per index.  A double exp(sqrt(t_j)) gives N_j whenever it lies
+farther than 2^-32 relative from every integer, about 10^4 times its
+error; any other index takes the exact interval refinement of _cutoff,
+which defines the cutoff.
+
+psi_weak_pentagonal aggregates per prime power (bucket method: each n
+contributes Lambda(n) * (-1)^{J(n)} where J(n) is the largest j with
+n <= N_j) or per index j (direct method, one prefix count per j).
+Both produce an exact integer coefficient per prime, so their results
+agree bit for bit, which is what the oracle-equivalence gate checks.
+Precision enters only through the sums of log p, and each is one log
+per coefficient class or cutoff band, of an exact product folded at
+working precision (the grouped products of Bernstein, "Fast
 multiplication and its applications", 2008).
 """
 
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
@@ -30,23 +36,23 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat, starmap
-from math import isqrt
+from math import exp, isqrt, sqrt
 from operator import eq, neg
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_rational, mpf_exp, mpf_sqrt, to_int
+from mpmath.libmp import fone, from_rational, mpf_exp, mpf_log, mpf_mul_int, mpf_sqrt, to_int
 
 from .errors import DomainError, ResourceError
 from .numerics import PrecisionContext, nstr_for_bits, to_fraction_exact, to_mpf_exact
 from .oscsum import SumReport, square_form
 
 # Peak RSS of a psi run (CPython 3.11): psi-half peaks in the build, at
-# 1 byte per integer (sieve flags) plus 8 per prime power (the index);
-# psi-sum peaks after it, at the index plus 16 bytes per prime for its
-# two coefficient arrays and 2 per prime power for the flags that fill
-# them.  psi-half and psi-sum take 48 and 50 MB at x=280, and 69 and 72 MB
-# for the 2.05M prime powers at x=300 (either method); by these rates
-# about 0.17 GB each at the cap.
+# half a byte per integer (flags for the odd ones) plus 8 per prime
+# power (the index); psi-sum peaks after it, at the index plus 16 bytes
+# per prime for its two coefficient arrays and 2 per prime power for the
+# flags that fill them.  psi-half and psi-sum take 42 and 50 MB at x=280,
+# and 59 and 72 MB for the 2.05M prime powers at x=300 (either method);
+# by these rates about 0.12 and 0.17 GB at the cap.
 MAX_SIEVE_LIMIT = 100_000_000
 PSI_METHODS = ("bucket", "direct")
 # Bits above the working precision that psi_interval_half sums psi at
@@ -58,22 +64,25 @@ HALF_HEADROOM_BITS = 24
 def _log_products(factors, marks, prec: int) -> list:
     """[log(prod(factors[:k])) for k in marks] at binary precision `prec`,
     for ascending `marks`.  Factors multiply as exact integers; once a
-    chunk passes `prec` bits it is folded into one mpf product with a
-    single rounding, and each mark takes one log.  The bits of each value
-    depend only on factors[:k], never on the other marks."""
+    chunk reaches 2^prec it is folded into one raw product with a single
+    rounding, and each mark takes one log.  The folds and logs are the
+    mpmath.libmp calls, rounded "n", that the mpf operators product *=
+    chunk and mp.log(product * chunk) make, so every bit is theirs.  The
+    bits of each value depend only on factors[:k], never on the other
+    marks."""
     logs = []
     factors = iter(factors)
     done = 0
-    with mp.workprec(prec):
-        product, chunk = mpf(1), 1
-        for k in marks:
-            for f in islice(factors, k - done):
-                chunk *= f
-                if chunk.bit_length() > prec:
-                    product *= chunk
-                    chunk = 1
-            done = k
-            logs.append(mp.log(product * chunk))
+    top = 1 << prec
+    product, chunk = fone, 1
+    for k in marks:
+        for f in islice(factors, k - done):
+            chunk *= f
+            if chunk >= top:
+                product = mpf_mul_int(product, chunk, prec, "n")
+                chunk = 1
+        done = k
+        logs.append(mp.make_mpf(mpf_log(mpf_mul_int(product, chunk, prec, "n"), prec, "n")))
     return logs
 
 
@@ -118,23 +127,31 @@ class LambdaSieve:
 
 
 def build_sieve(limit: int) -> LambdaSieve:
-    """Sieve of Eratosthenes plus the prime-power index, O(limit) bytes."""
+    """Sieve of Eratosthenes over the odd numbers plus the prime-power
+    index: one flag byte per odd integer, odd[i] for 2i + 1, and the
+    powers of 2 inserted into the entries afterwards."""
     if limit < 2:
         raise DomainError("build_sieve needs limit >= 2")
     if limit > MAX_SIEVE_LIMIT:
         raise ResourceError("sieve limit %d exceeds budget %d" % (limit, MAX_SIEVE_LIMIT))
     root = isqrt(limit)
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, root + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
+    odd = bytearray([1]) * ((limit + 1) // 2)
+    odd[0] = 0
+    for p in range(3, root + 1, 2):
+        if odd[p // 2]:
+            # the odd multiples p^2, p^2 + 2p, ... lie p flags apart
+            odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
     # only primes up to root have a higher power within the limit; once
-    # those powers are flagged too, one pass yields every entry in order
-    for p in compress(range(root + 1), flags[: root + 1]):
+    # those powers are flagged too, one pass yields every odd entry in order
+    for p in compress(range(3, root + 1, 2), odd[1 : (root + 1) // 2]):
         for pk, _ in _higher_powers(p, limit):
-            flags[pk] = 1
-    return LambdaSieve(limit, array("Q", compress(range(limit + 1), flags)))
+            odd[pk // 2] = 1
+    entries = array("Q", compress(range(1, limit + 1, 2), odd))
+    pk = 2
+    while pk <= limit:
+        entries.insert(bisect_left(entries, pk), pk)
+        pk *= 2
+    return LambdaSieve(limit, entries)
 
 
 def sieve_limit(x) -> int:
@@ -171,12 +188,18 @@ def _ell_max(x, T) -> int:
     return square_form(Tf).index_range(x)[1]
 
 
+def _beyond_limit(t: Fraction, limit: int) -> DomainError:
+    return DomainError("cutoff e^sqrt(%s) lies beyond the sieve limit %d" % (t, limit))
+
+
 def _cutoff(t: Fraction, limit: int) -> int:
     """floor(e^sqrt(t)) for rational t > 0, exactly; DomainError when it
     exceeds `limit`.  A lower and an upper bound, each step rounded down
     ("f") or up ("c"), start at 64 bits and double until both floors
     agree.  That always ends: e^sqrt(t) is transcendental
-    (Lindemann-Weierstrass), so it is never an integer."""
+    (Lindemann-Weierstrass), so it is never an integer.  This is the
+    definition of a cutoff; _cutoffs answers from a double wherever the
+    double decides it, and asks here everywhere else."""
     def floor_of_bound(prec, rnd):
         root = mpf_sqrt(from_rational(t.numerator, t.denominator, prec, rnd), prec, rnd)
         return to_int(mpf_exp(root, prec, rnd), "f")
@@ -185,19 +208,57 @@ def _cutoff(t: Fraction, limit: int) -> int:
     while True:
         lo = floor_of_bound(prec, "f")
         if lo > limit:
-            raise DomainError("cutoff e^sqrt(%s) lies beyond the sieve limit %d" % (t, limit))
+            raise _beyond_limit(t, limit)
         if lo == floor_of_bound(prec, "c"):
             return lo
         prec *= 2
 
 
+# Relative distance from every integer at which a double y ~ e^sqrt(t)
+# fixes floor(e^sqrt(t)); see _cutoffs for the error it must exceed.
+_CUTOFF_GUARD = 2.0 ** -32
+
+
 def _cutoffs(x, T, sieve: LambdaSieve) -> list[int]:
     """[N_0, ..., N_L], N_j = floor(e^{sqrt(x - j^2/T)}): a prime power n
     lies inside cutoff j iff n <= N_j.  DomainError when N_0 exceeds the
-    sieve limit."""
+    sieve limit.
+
+    Each t_j = x - j^2/T is an exact ratio of integers, and a double
+    y = exp(sqrt(t_j)) decides N_j when it can.  int / int and math.sqrt
+    are correctly rounded, so the root of t is off by at most 1.5 * 2^-53
+    (1.7e-16) relative; exp turns that into sqrt(t) times as much, at
+    most 3e-15 within MAX_SIEVE_LIMIT (sqrt(t) <= ln 1e8 ~ 18.4) and
+    1.2e-13 for any finite y (sqrt(t) < 710), and adds its own few ulp
+    (glibc documents at most 1).  _CUTOFF_GUARD, 2.3e-10 relative, is
+    about 10^4 times that budget: when y lies farther than y * guard from
+    every integer, floor(y) is N_j, and when y * (1 - guard) >= limit + 1,
+    N_j lies beyond the limit, decided before any integer the size of
+    e^sqrt(t) exists.  A t or e^sqrt(t) past the doubles reads as the
+    largest double, a lower bound.  Every other index has y within the
+    guard of an integer and takes the exact route of _cutoff."""
     xf, Tf = to_fraction_exact(x), to_fraction_exact(T)
-    return [_cutoff(xf - Fraction(j * j) / Tf, sieve.limit)
-            for j in range(_ell_max(xf, Tf) + 1)]
+    limit = sieve.limit
+    # t_j = (head - j^2 step) / den
+    head, step = xf.numerator * Tf.numerator, xf.denominator * Tf.denominator
+    den = xf.denominator * Tf.numerator
+    cut = []
+    for j in range(_ell_max(xf, Tf) + 1):
+        num = head - j * j * step
+        try:
+            y = exp(sqrt(num / den))
+        except OverflowError:
+            y = sys.float_info.max
+        margin = y * _CUTOFF_GUARD
+        if y - margin >= limit + 1:
+            raise _beyond_limit(Fraction(num, den), limit)
+        # accepted, n < y - margin < limit + 1, so n <= limit
+        n = int(y)
+        if y - n > margin and n + 1 - y > margin:
+            cut.append(n)
+        else:
+            cut.append(_cutoff(Fraction(num, den), limit))
+    return cut
 
 
 class PrimeCoefficients(Mapping):

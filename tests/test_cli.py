@@ -654,6 +654,31 @@ def test_readme_stdout_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == _README_STDOUT[command]
 
 
+_PSI_STDOUT = {
+    "psi-sum --x 200.1250 --T 3023":
+        "9eb209bffeae954ae95ffb01d0ccb3a58a9811fb4a4bfb64be90c7cb032e1068",
+    "psi-sum --x 200.1250 --T 3023 --method direct":
+        "9c3e01fcb7cab08d4de6bb201bd7b733db1d08ca9b045ec9345e6d9215aad405",
+    "psi-half --x 200.1250 --T 3023":
+        "d1795eb527316105bf7a9e0ed7c03357beb81b9162b9225f12d0bc384c374d66",
+}
+
+
+@pytest.mark.parametrize("cache", [False, True], ids=["built", "cached"])
+@pytest.mark.parametrize("command", list(_PSI_STDOUT), ids=["bucket", "direct", "half"])
+def test_psi_stdout_pinned_at_workload_size(tmp_path, capsys, command, cache):
+    # the psi workload's size: about 106k prime powers and 775 cutoffs,
+    # every digit as first recorded, from a fresh sieve and from a cache
+    # file written by one run and read by the next
+    argv = command.split()
+    if cache:
+        argv += ["--sieve-cache", str(tmp_path / "sieve.bin")]
+        assert run(argv, capsys)[0] == 0
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _PSI_STDOUT[command]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--form", "square", "--T", "3", "--x", "10"],
      "rademacher kernels are defined at integer arguments only, got Fraction(29, 3)"),

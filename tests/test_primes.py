@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import struct
@@ -6,8 +7,10 @@ import tracemalloc
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from cancelsum import (DomainError, LambdaSieve, PrecisionContext,
@@ -65,14 +68,55 @@ def test_sieve_against_independent_oracle():
                 pp *= p
     oracle.sort()
     # every limit, so each square and higher power p^k = limit, where
-    # isqrt(limit) admits a new prime to the power loop, is an edge
+    # isqrt(limit) admits a new prime to the power loop, is an edge, and
+    # so is each power of 2 (1024, 2048), which the odd flags leave out
     for n in range(2, limit + 1):
         assert pairs(build_sieve(n)) == [e for e in oracle if e[0] <= n]
+
+
+def test_sieve_million_bytes_pinned(sieve1m):
+    # the entries of build_sieve(10^6) as first recorded, little-endian
+    entries = array("Q", sieve1m.entries)
+    if sys.byteorder == "big":
+        entries.byteswap()
+    assert (hashlib.sha256(entries.tobytes()).hexdigest()
+            == "3987ee31c9a627c8a02c2dff1fe1599245e8be295d902d11c34df1fcc8da607c")
 
 
 def test_prime_count_million(sieve1m):
     assert sum(1 for pp, p in pairs(sieve1m) if pp == p) == 78498
     assert sum(bool_prime_sieve(1_000_000)) == 78498
+
+
+def _log_products_by_operators(factors, marks, prec):
+    # the mpf operator formulation the raw folds replaced
+    logs = []
+    factors = iter(factors)
+    done = 0
+    with mp.workprec(prec):
+        product, chunk = mpf(1), 1
+        for k in marks:
+            for f in islice(factors, k - done):
+                chunk *= f
+                if chunk.bit_length() > prec:
+                    product *= chunk
+                    chunk = 1
+            done = k
+            logs.append(mp.log(product * chunk))
+    return logs
+
+
+@pytest.mark.parametrize("prec", [53, 128, 160, 184, 1000])
+def test_log_products_match_operators(sieve100k, prec):
+    factors = list(sieve100k.primes())
+    n = len(factors)
+    # a fold's rounding moves a log by less than its last bit, so a
+    # dense run of marks gives a wrong fold many chances to show
+    marks = [0, 0, 1, 2, 3, 17, 17] + list(range(500, 2500)) + [n // 2, n - 1, n, n]
+    got = primes._log_products(factors, marks, prec)
+    want = _log_products_by_operators(factors, marks, prec)
+    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+    assert all(type(v) is mpf for v in got)
 
 
 def test_sieve_limit_validation():
@@ -410,22 +454,118 @@ def test_interval_half_telescoping_complement(sieve600, ctx192):
         assert abs(total - want) <= rep.psi_full * mpf(2) ** -(192 - 16)
 
 
-def test_cutoff_near_tie(sieve1m):
+def count_exact_cutoffs(monkeypatch) -> list:
+    """Record the t of every call to the exact route primes._cutoff."""
+    calls = []
+    exact = primes._cutoff
+
+    def counted(t, limit):
+        calls.append(t)
+        return exact(t, limit)
+
+    monkeypatch.setattr(primes, "_cutoff", counted)
+    return calls
+
+
+def test_cutoff_near_tie(monkeypatch, sieve1m):
     # t within 2^-400 of (log n)^2: e^sqrt(t) sits just below or just
-    # above the prime n, far inside any rounding of (log n)^2 at 128 bits
+    # above the prime n, far inside any rounding of (log n)^2 at 128 bits,
+    # and far inside the guard of the double, so the exact route decides
+    calls = count_exact_cutoffs(monkeypatch)
     n = 999983
     with mp.workprec(2000):
         lg2 = to_fraction_exact(mp.log(n) ** 2)
     eps = Fraction(1, 2 ** 400)
     assert primes._cutoffs(lg2 - eps, 1, sieve1m)[0] == n - 1
+    assert calls[0] == lg2 - eps
+    calls.clear()
     assert primes._cutoffs(lg2 + eps, 1, sieve1m)[0] == n
+    assert calls[0] == lg2 + eps
 
 
-def test_cutoffs_against_floor_oracle(sieve600):
-    # every cutoff of (40, 3000) against floor(e^sqrt(40 - j^2/3000)) at 256 bits
+def test_cutoffs_against_floor_oracle(monkeypatch, sieve600):
+    # every cutoff of (40, 3000) against floor(e^sqrt(40 - j^2/3000)) at
+    # 256 bits; none lies within 2^-32 relative of an integer, so the
+    # double decides all 347
+    calls = count_exact_cutoffs(monkeypatch)
     with mp.workprec(256):
         want = [int(mp.floor(mp.exp(mp.sqrt(40 - mpf(j * j) / 3000)))) for j in range(347)]
     assert primes._cutoffs(40, 3000, sieve600) == want
+    assert calls == []
+
+
+def test_cutoff_at_the_limit(monkeypatch):
+    # e^sqrt(40) = 558.11 is far from an integer, so the double decides
+    # limits 557 and 558 alone, and says what the exact route says
+    with pytest.raises(DomainError) as exact:
+        primes._cutoff(Fraction(40), 557)
+    calls = count_exact_cutoffs(monkeypatch)
+    with pytest.raises(DomainError) as info:
+        primes._cutoffs(40, Fraction(1, 40), LambdaSieve(557, array("Q")))
+    assert str(info.value) == str(exact.value)
+    assert primes._cutoffs(40, Fraction(1, 40), LambdaSieve(558, array("Q"))) == [558]
+    assert calls == []
+
+
+def test_cutoff_near_tie_at_the_limit_takes_the_exact_route(monkeypatch):
+    # e^sqrt(t) just above 999983 with the limit just below it: only the
+    # exact route can put the cutoff past the limit
+    calls = count_exact_cutoffs(monkeypatch)
+    with mp.workprec(2000):
+        t = to_fraction_exact(mp.log(999983) ** 2) + Fraction(1, 2 ** 400)
+    with pytest.raises(DomainError, match="beyond the sieve limit 999982"):
+        primes._cutoffs(t, 1, LambdaSieve(999982, array("Q")))
+    assert calls == [t]
+
+
+@pytest.mark.parametrize("psi_sum", [
+    lambda x, T, sieve, ctx: lambda_coefficients(x, T, sieve),
+    psi_weak_pentagonal,
+    psi_interval_half,
+], ids=["coefficients", "weak", "half"])
+def test_cutoff_far_past_the_limit_is_decided_on_the_double(sieve600, ctx128, psi_sum):
+    # e^sqrt(10^20) = e^(10^10) has about 1.4e10 bits: the double rules
+    # it out before any integer of that size exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as info:
+            psi_sum(10 ** 20, Fraction(1, 10 ** 9), sieve600, ctx128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == ("cutoff e^sqrt(100000000000000000000) lies beyond "
+                               "the sieve limit 600")
+    assert peak < 1 << 20
+
+
+@st.composite
+def _cutoff_case(draw):
+    # rational x in (0, 340], T > 0 with 1 <= xT <= 40,000 (L < 200)
+    xd = draw(st.integers(1, 10 ** 4))
+    x = Fraction(draw(st.integers(1, 340 * xd)), xd)
+    td = draw(st.integers(1, 10 ** 4))
+    lo, hi = math.ceil(td / x), math.floor(40_000 * td / x)
+    T = Fraction(draw(st.integers(lo, max(lo, hi))), td)
+    limit = draw(st.sampled_from([600, 10 ** 6, primes.MAX_SIEVE_LIMIT, 2 * 10 ** 8]))
+    return x, T, limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cutoff_case())
+def test_cutoffs_equal_the_exact_route(case):
+    x, T, limit = case
+    sieve = LambdaSieve(limit, array("Q"))
+
+    def outcome(compute):
+        try:
+            return compute()
+        except DomainError as exc:
+            return str(exc)
+
+    got = outcome(lambda: primes._cutoffs(x, T, sieve))
+    want = outcome(lambda: [primes._cutoff(x - Fraction(j * j) / T, limit)
+                            for j in range(primes._ell_max(x, T) + 1)])
+    assert got == want
 
 
 def test_ell_max_is_the_square_form_range():
