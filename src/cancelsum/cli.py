@@ -23,10 +23,8 @@ import sys
 from fractions import Fraction
 
 from . import contour as contour_mod
-from . import oscsum, partition, primes, pte
+from . import numerics, oscsum, partition, primes, pte
 from .errors import CancelsumError, DomainError, PrecisionError, ResourceError
-from .numerics import (PrecisionContext, context_for, nstr_for_bits,
-                       required_bits, to_fraction_exact, to_mpf_exact)
 
 # Named growth constants usable wherever a kernel rate is expected;
 # resolved lazily at working precision.
@@ -65,7 +63,7 @@ def _number(text):
     if "/" in text:
         return Fraction(text)
     if "." in text or "e" in text or "E" in text:
-        return to_fraction_exact(text)
+        return numerics.to_fraction_exact(text)
     return int(text)
 
 
@@ -102,8 +100,8 @@ def _x_grid(text: str) -> list:
     return pts
 
 
-def _resolve_ctx(bits, x, rate) -> PrecisionContext:
-    return context_for(x, rate) if bits is None else PrecisionContext(bits=bits)
+def _resolve_ctx(bits, x, rate) -> numerics.PrecisionContext:
+    return numerics.context_for(x, rate) if bits is None else numerics.PrecisionContext(bits=bits)
 
 
 # --kernel and --form: each name and the constructor it selects, in the
@@ -190,9 +188,9 @@ def cmd_bound(args) -> int:
             ctx = _resolve_ctx(args.bits, x, c)
             b = oscsum.bound_main1(a, c, x, ctx)
             rows.append({"x": str(x), "a": str(Fraction(a)),
-                         "alpha_star": nstr_for_bits(alpha_star, 128),
-                         "w": nstr_for_bits(w, 128),
-                         "bound": nstr_for_bits(b, ctx.bits)})
+                         "alpha_star": numerics.nstr_for_bits(alpha_star, 128),
+                         "w": numerics.nstr_for_bits(w, 128),
+                         "bound": numerics.nstr_for_bits(b, ctx.bits)})
         _emit(rows)
         return 0
     alpha, beta, T, slack = args.alpha, args.beta, args.T, args.delta_slack
@@ -200,7 +198,7 @@ def cmd_bound(args) -> int:
         b = oscsum.bound_main2(alpha, beta, T, x, slack)
         rows.append({"x": str(x), "alpha": str(alpha), "beta": str(beta),
                      "T": str(T), "delta_slack": str(slack),
-                     "bound": nstr_for_bits(b, 192)})
+                     "bound": numerics.nstr_for_bits(b, 192)})
     _emit(rows)
     return 0
 
@@ -262,10 +260,10 @@ def cmd_lemma_sum(args) -> int:
     ctx = _resolve_ctx(args.bits, x, 0)
     value = pte.lemma_sum(x, T, k, ctx)
     exact = k % 2 == 0
-    text = str(value) if exact else nstr_for_bits(value, ctx.bits)
+    text = str(value) if exact else numerics.nstr_for_bits(value, ctx.bits)
     bound = pte.lemma_bound(x, T, k, u, ctx)
     _emit([{"x": str(x), "T": str(T), "k": k, "u": str(u), "value": text,
-            "exact_rational": exact, "bound": nstr_for_bits(bound, ctx.bits)}])
+            "exact_rational": exact, "bound": numerics.nstr_for_bits(bound, ctx.bits)}])
     return 0
 
 
@@ -277,15 +275,15 @@ def cmd_contour_check(args) -> int:
     # evaluation count in use was set; steeper kernels get the policy bits
     bits = args.bits
     if bits is None:
-        bits = max(320, required_bits(x, kernel.growth))
-    ctx = PrecisionContext(bits=bits)
+        bits = max(320, numerics.required_bits(x, kernel.growth))
+    ctx = numerics.PrecisionContext(bits=bits)
     report = contour_mod.residue_identity_check(kernel, q, x, u, ctx)
     row = report.to_json_dict()
     legs = row.pop("leg_mags")
     _emit([{"x": row.pop("x"), "u": str(u), **row,
             **{"leg%d" % i: m for i, m in enumerate(legs, start=1)}}])
     threshold = args.max_rel_err
-    if threshold is not None and report.rel_err > to_mpf_exact(threshold):
+    if threshold is not None and report.rel_err > numerics.to_mpf_exact(threshold):
         return 1
     return 0
 

@@ -74,9 +74,8 @@ precision, and a hit returns the bits a miss computes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (fzero, from_int, mpc_abs, mpc_add, mpc_add_mpf, mpc_div,
@@ -174,23 +173,22 @@ def gauss_legendre_nodes() -> tuple:
     return result
 
 
-@dataclass(frozen=True)
-class RectContour:
+class RectContour(NamedTuple("RectContour", [("x_half_width", mpf), ("height_u", mpf),
+                                             ("shift", mpf)])):
     """Rectangle with vertical legs at shift +- x_half_width and
     horizontal legs at +- height_u (vertical half-extent, u*sqrt(x) in
     the residue checks).  Horizontal legs keep distance >= 0.25 from
     the pole line; vertical legs may cross it transversally between
     poles."""
 
-    x_half_width: mpf
-    height_u: mpf
-    shift: mpf = mpf(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x_half_width <= 0:
+    def __new__(cls, x_half_width: mpf, height_u: mpf, shift: mpf = mpf(0)):
+        if x_half_width <= 0:
             raise DomainError("x_half_width must be positive")
-        if self.height_u < mpf("0.25"):
+        if height_u < mpf("0.25"):
             raise DomainError("height_u below the 0.25 pole-clearance floor")
+        return super().__new__(cls, x_half_width, height_u, shift)
 
     @property
     def x_left(self) -> mpf:
@@ -242,8 +240,7 @@ def build_contour(q: QuadraticForm, x, u, ctx: PrecisionContext) -> RectContour:
                            shift=(xr + xl) / 2)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: mpc
     leg_values: tuple
     evaluations: int
@@ -411,8 +408,7 @@ def integrate_rectangle(f: Integrand, contour: RectContour,
                                 evaluations=evals, levels=levels)
 
 
-@dataclass(frozen=True)
-class ResidueReport:
+class ResidueReport(NamedTuple):
     """One residue identity check.  evaluations and levels are the
     quadrature's own counts (QuadratureResult); to_json_dict leaves them
     out, so contour-check's stdout does not depend on them."""

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational
@@ -31,23 +30,23 @@ from .errors import DomainError, ResourceError
 MAX_PRECISION_BITS = 100_000
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(NamedTuple("PrecisionContext", [("bits", int)])):
     """Working precision in binary bits plus guard bits for accumulation.
 
     All operations accumulate at bits + guard_bits and are quoted as
     accurate to roughly bits - 8 significant bits.
     """
 
-    bits: int
-    guard_bits: ClassVar[int] = 32
+    __slots__ = ()
+    guard_bits = 32
 
-    def __post_init__(self):
-        if self.bits < 128:
-            raise DomainError("PrecisionContext.bits must be >= 128, got %r" % (self.bits,))
-        if self.bits > MAX_PRECISION_BITS:
+    def __new__(cls, bits: int):
+        if bits < 128:
+            raise DomainError("PrecisionContext.bits must be >= 128, got %r" % (bits,))
+        if bits > MAX_PRECISION_BITS:
             raise ResourceError("precision of %s bits exceeds budget %d"
-                                % (mp.nstr(mpf(self.bits), 6), MAX_PRECISION_BITS))
+                                % (mp.nstr(mpf(bits), 6), MAX_PRECISION_BITS))
+        return super().__new__(cls, bits)
 
     @property
     def work_bits(self) -> int:

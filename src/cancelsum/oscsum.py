@@ -23,11 +23,10 @@ it is sqrt(T/(|beta|+1)) e^{alpha (sqrt(2/(2+pi^2)) + delta) sqrt(x)} + sqrt(T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, zip_longest
 from math import isqrt, lcm, sqrt
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (fzero, mpc_exp, mpc_mul, mpc_mul_mpf, mpc_pow_mpf, mpc_sqrt, mpf_add,
@@ -44,20 +43,17 @@ Rational = Union[int, Fraction]
 MAX_INDEX_RANGE = 1_000_000  # widest index interval a sum or contour may span
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(NamedTuple("QuadraticForm",
+                                [("a", Fraction), ("b", Fraction), ("d", Fraction)])):
     """q(n) = a n^2 + b n + d with exact rational coefficients, a > 0."""
 
-    a: Fraction
-    b: Fraction = Fraction(0)
-    d: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _to_fraction(self.a))
-        object.__setattr__(self, "b", _to_fraction(self.b))
-        object.__setattr__(self, "d", _to_fraction(self.d))
-        if self.a <= 0:
+    def __new__(cls, a, b=0, d=0):
+        a, b, d = _to_fraction(a), _to_fraction(b), _to_fraction(d)
+        if a <= 0:
             raise DomainError("QuadraticForm needs a > 0")
+        return super().__new__(cls, a, b, d)
 
     def evaluate(self, n: int) -> Fraction:
         return self.a * n * n + self.b * n + self.d
@@ -124,8 +120,7 @@ def square_form(T: Rational = 1) -> QuadraticForm:
     return QuadraticForm(Fraction(1, 1) / Fraction(T), Fraction(0), Fraction(0))
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(NamedTuple):
     """A named kernel family.
 
     `growth` is the rate c in kernel(y) ~ e^{c sqrt(y)} as given: an int,
@@ -225,8 +220,7 @@ def complex_exp_kernel(alpha, beta, T) -> KernelSpec:
                             lambda: mpc(to_mpf_exact(alpha_f), to_mpf_exact(beta_f)))
 
 
-@dataclass
-class SumReport:
+class SumReport(NamedTuple):
     """One evaluated oscillating sum with its optional predicted bound."""
 
     x: object

@@ -12,18 +12,22 @@ must vanish identically, which is the first acceptance gate.
 The kernels p1..p4 are the explicitly printed one/two/four-term
 truncations of the Hardy-Ramanujan-Rademacher series; RADEMACHER lists
 them, and sqrt(p1), each with its binder and growth rate.
+
+The exact half (the table, pentagonal, pnt_checksum) is integers only,
+so importing this module loads no mpmath.  mpmath and numerics enter
+inside the growth rates, the binders and the kernels they return.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from mpmath import mp, mpf
-from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_pi, mpf_pow, mpf_sqrt, mpf_sub)
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, ResourceError
-from .numerics import PrecisionContext, to_fraction_exact
+
+if TYPE_CHECKING:
+    from mpmath import mpf
+
+    from .numerics import PrecisionContext
 
 # Largest n of an exact table; the largest in use is 10,101 (pnt-verify in
 # the cli-mix benchmark); pnt-verify at the cap takes about 12 s, 7 s of
@@ -34,12 +38,14 @@ MAX_PARTITION_N = 100_000
 def growth_p1() -> mpf:
     """The growth rate c of p1, p2 and p4 (kernel ~ e^{c sqrt(y)}):
     pi sqrt(2/3) at the current working precision."""
+    from mpmath import mp, mpf
     return mp.pi * mp.sqrt(mpf(2) / 3)
 
 
 def growth_p3() -> mpf:
     """The growth rate of p3 and sqrt(p1): pi / sqrt(6) at the current
     working precision."""
+    from mpmath import mp, mpf
     return mp.pi / mp.sqrt(mpf(6))
 
 
@@ -120,6 +126,7 @@ def _as_positive_int(x) -> int:
         return x
     if isinstance(x, (bool, str)):
         raise DomainError("x must be a positive integer")
+    from .numerics import to_fraction_exact
     xf = to_fraction_exact(x)
     if xf.denominator != 1:
         raise DomainError("rademacher kernels are defined at integer arguments only, got %r" % (x,))
@@ -135,11 +142,12 @@ def _as_positive_int(x) -> int:
 # v^1.5 stays mpf_pow, which rounds sqrt(v) at 10 extra bits and cubes
 # it: v * sqrt(v) would round differently.
 
-_THREE_HALVES = from_man_exp(3, -1)
+_THREE_HALVES = (0, 3, -1, 2)  # raw mpf 3/2: (sign, mantissa, exponent, bit count)
 
 
 def _p1(prec: int):
     """Raw e^{pi sqrt(2x/3)} / (4x sqrt(3)) at prec."""
+    from mpmath.libmp import from_int, mpf_div, mpf_exp, mpf_mul, mpf_mul_int, mpf_pi, mpf_sqrt
     pi, three = mpf_pi(prec, "n"), from_int(3)
     root3 = mpf_sqrt(three, prec, "n")
 
@@ -155,6 +163,8 @@ def _pair(root: int, k: int, alternating: bool, prec: int):
     """Raw Rademacher pair (sqrt(root)/v - k sqrt(root)/(pi v^1.5))
     e^{(pi/k) sqrt(v)} at v = 24x - 1, times (-1)^x when alternating, as
     a function of (x, v, sqrt(v), v^1.5)."""
+    from mpmath.libmp import (from_int, mpf_div, mpf_exp, mpf_mul, mpf_mul_int, mpf_neg,
+                              mpf_pi, mpf_sqrt, mpf_sub)
     s = mpf_sqrt(from_int(root), prec, "n")
     ks, pi = mpf_mul_int(s, k, prec, "n"), mpf_pi(prec, "n")
     pi_k = mpf_div(pi, from_int(k), prec, "n")
@@ -173,6 +183,8 @@ _P3 = (6, 12, True)  # the second pair, carrying the sign (-1)^x
 
 def _bind_pairs(ctx: PrecisionContext, *pairs):
     """y -> the sum of the given pairs at v = 24y - 1, as an mpf."""
+    from mpmath import mp
+    from mpmath.libmp import from_int, mpf_add, mpf_pow, mpf_sqrt
     prec = ctx.work_bits
     terms = [_pair(root, k, alternating, prec) for root, k, alternating in pairs]
 
@@ -189,12 +201,15 @@ def _bind_pairs(ctx: PrecisionContext, *pairs):
 
 def bind_p1(ctx: PrecisionContext):
     """First Rademacher term e^{pi sqrt(2x/3)} / (4x sqrt(3))."""
+    from mpmath import mp
     p1 = _p1(ctx.work_bits)
     return lambda y: mp.make_mpf(p1(y))
 
 
 def bind_sqrt_p1(ctx: PrecisionContext):
     """sqrt(p1(x)), whose growth rate is p3's."""
+    from mpmath import mp
+    from mpmath.libmp import mpf_sqrt
     prec = ctx.work_bits
     p1 = _p1(prec)
     return lambda y: mp.make_mpf(mpf_sqrt(p1(y), prec, "n"))

@@ -33,11 +33,11 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat, starmap
 from math import exp, isqrt, sqrt
 from operator import eq, neg
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import fone, from_rational, mpf_exp, mpf_log, mpf_mul_int, mpf_sqrt, to_int
@@ -396,8 +396,7 @@ def psi_weak_pentagonal(x, T, sieve: LambdaSieve, ctx: PrecisionContext,
                      term_count=2 * L + 1, precision_bits=ctx.bits)
 
 
-@dataclass
-class IntervalHalfReport:
+class IntervalHalfReport(NamedTuple):
     """Interval-union psi sum versus half of psi(e^sqrt(x))."""
 
     lhs: mpf

@@ -13,27 +13,36 @@ f_r_exact and detect_degree cover the companion polynomial fact: the
 alternating sum f_r(M) = sum_{|l|<2M} (-1)^l (4M^2 - l^2)^r collapses
 to a polynomial in M of degree r-1 for even r (r for odd r), found by
 exact forward differences and certified by integer interpolation.
+
+The pair, f_r, the degree and the pigeonhole exponent need only integers
+and Fractions, so importing this module loads no mpmath.  mpmath, with
+numerics and oscsum, enters inside the functions that report floats:
+verify_pte_bound, PTERow.to_json_dict, lemma_sum and lemma_bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegreeMismatchError, DomainError, ResourceError
-from .numerics import PrecisionContext, nstr_for_bits, to_fraction_exact, to_mpf_exact
-from .oscsum import MAX_INDEX_RANGE, square_form
+
+if TYPE_CHECKING:
+    from mpmath import mpf
+
+    from .numerics import PrecisionContext
 
 # Largest power r of a power-sum row or of f_r; the largest in use is 16
 # (frm-degree --r-max 16); frm-degree at the cap takes about 2 s (CPython
 # 3.11, one core).
 MAX_POWER = 64
 
+# Largest n of a pair; the largest in use is about 105.
+MAX_PAIR_N = 1_000_000
+
 # Largest m of a pair; the largest in use is 2; pte-construct at this cap
-# and n = MAX_INDEX_RANGE takes about 0.4 s and 190 MB (CPython 3.11).
+# and n = MAX_PAIR_N takes about 0.4 s and 190 MB (CPython 3.11).
 MAX_PAIR_M = 8
 
 # Largest n * r_max of a power-sum table: n powers for each r <= r_max.
@@ -59,8 +68,7 @@ def integer_root(k: int, value: int) -> int:
         r = s
 
 
-@dataclass(frozen=True)
-class PTEPair:
+class PTEPair(NamedTuple):
     """Two disjoint strictly-decreasing integer sequences with equal
     length and construction parameters (n, m, N)."""
 
@@ -78,8 +86,8 @@ def construct_pair(n: int, m: int) -> PTEPair:
     (N+1)^{2m+1} > (2n)^{2m} >= (2n-1)^2."""
     if n < 2 or m < 1:
         raise DomainError("construct_pair needs n >= 2 and m >= 1")
-    if n > MAX_INDEX_RANGE:  # the largest n in use is about 105
-        raise ResourceError("n = %d exceeds budget %d" % (n, MAX_INDEX_RANGE))
+    if n > MAX_PAIR_N:
+        raise ResourceError("n = %d exceeds budget %d" % (n, MAX_PAIR_N))
     if m > MAX_PAIR_M:
         raise ResourceError("m = %d exceeds budget %d" % (m, MAX_PAIR_M))
     N = integer_root(2 * m + 1, (2 * n) ** (2 * m))
@@ -110,8 +118,7 @@ def k_regime(n: int, m: int) -> int:
     return int(n ** (1.0 - 1.0 / (2 * m + 1)) / math.log(n))
 
 
-@dataclass(frozen=True)
-class PTERow:
+class PTERow(NamedTuple):
     r: int
     diff: int
     bound: mpf
@@ -119,6 +126,7 @@ class PTERow:
     within_regime: bool
 
     def to_json_dict(self) -> dict:
+        from .numerics import nstr_for_bits
         return {
             "r": self.r,
             "diff": str(self.diff),
@@ -143,6 +151,7 @@ def verify_pte_bound(pair: PTEPair, r_max: int) -> list[PTERow]:
     """For each 1 <= r <= r_max: the exact difference, the reference
     bound N^{r(2m+1/2)}, and their ratio.  Rows beyond the k regime are
     flagged; the max ratio over in-regime rows is the empirical constant."""
+    from mpmath import mp, mpf
     if r_max < 1:
         raise DomainError("verify_pte_bound needs r_max >= 1")
     check_power_sum_budget(pair.n, r_max)
@@ -181,8 +190,7 @@ def f_r_exact(M: int, r: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class IntegerPolynomial:
+class IntegerPolynomial(NamedTuple):
     """coeffs[j] is the coefficient of M^j; all integers."""
 
     coeffs: tuple[int, ...]
@@ -294,6 +302,10 @@ def pigeonhole_c(n: int, k: int) -> Fraction:
 def lemma_sum(x, T, k: int, ctx: PrecisionContext | None = None):
     """sum_{l^2 < xT} (-1)^l (x - l^2/T)^{k/2}: exact Fraction for even k
     and rational x, T; high-precision mpf for odd k (ctx required)."""
+    from mpmath import mpf
+
+    from .numerics import to_fraction_exact, to_mpf_exact
+    from .oscsum import square_form
     if k < 0:
         raise DomainError("lemma_sum needs k >= 0")
     xf = to_fraction_exact(x)
@@ -321,6 +333,9 @@ def lemma_sum(x, T, k: int, ctx: PrecisionContext | None = None):
 def lemma_bound(x, T, k: int, u, ctx: PrecisionContext) -> mpf:
     """Reference ceiling sqrt(xT) (e^{k log(x)/2 - pi u sqrt(x)}
     + ((u^4 + 4 u^2 T) x^2)^{1/4} / sqrt(T)) with free height u."""
+    from mpmath import mp, mpf
+
+    from .numerics import to_fraction_exact, to_mpf_exact
     with ctx.workprec():
         xv = to_mpf_exact(to_fraction_exact(x))
         Tv = to_mpf_exact(to_fraction_exact(T))

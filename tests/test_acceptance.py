@@ -273,11 +273,12 @@ def test_criterion_11_prime_theorem_regime():
         rows.append((x, T, rep.rel_err, ceiling, widest / math.exp(math.sqrt(x) / 2)))
     w_hat, _, _ = empirical_exponent([(x, rel) for x, _, rel, _, _ in rows])
     elapsed = time.monotonic() - t0
-    ok = all(rel <= ceiling for _, _, rel, ceiling, _ in rows) and elapsed <= 9.0
+    ok = (all(rel <= ceiling and ratio < 1 for _, _, rel, ceiling, ratio in rows)
+          and elapsed <= 9.0)
     report(11, ok,
            "rel_err <= e^(-0.196 sqrt x) (O-constant 1) at T = round(e^(0.786 "
            "sqrt x)): %s; fitted log(rel_err) = %.3f sqrt(x) + b; widest "
-           "interval / e^(sqrt(x)/2) = %s; elapsed %.1fs (limit 9s)"
+           "interval / e^(sqrt(x)/2) = %s (each < 1); elapsed %.1fs (limit 9s)"
            % (", ".join("x=%d T=%d %.3g <= %.3g" % (x, T, float(rel), float(c))
                         for x, T, rel, c, _ in rows),
               w_hat, ", ".join("%.3g" % r for *_, r in rows), elapsed))

@@ -199,9 +199,10 @@ def test_work_budget_exit_3(argv):
 
 
 # Runs one command in a fresh interpreter and prints the cancelsum
-# modules that are registered but have not executed.  A lazy module sits
-# in sys.modules from the package's import on, and reading any attribute
-# of it executes it, so only its type is read.
+# modules that are registered but have not executed, then which of
+# mpmath and dataclasses it imported.  A lazy module sits in sys.modules
+# from the package's import on, and reading any attribute of it executes
+# it, so only its type is read.
 _UNEXECUTED_PROBE = """
 import contextlib, io, sys, types
 import cancelsum.cli
@@ -214,18 +215,26 @@ assert 'numpy' not in sys.modules
 print(' '.join(sorted(name for name, module in sys.modules.items()
                       if name.startswith('cancelsum.')
                       and type(module) is not types.ModuleType)))
+print(' '.join(name for name in ('mpmath', 'dataclasses') if name in sys.modules))
 """
 
 
-@pytest.mark.parametrize("argv, unexecuted", [
-    (["--help"], "contour oscsum primes pte"),
-    (["pnt-verify", "--x-max", "10"], "contour oscsum primes pte"),
-    (["osc-sum", "--x", "100"], "contour primes pte"),
-], ids=["help", "pnt-verify", "osc-sum"])
-def test_command_executes_only_the_modules_it_uses(argv, unexecuted):
+# The exact commands run on integers and Fractions alone, so they never
+# import mpmath; no command imports dataclasses.
+@pytest.mark.parametrize("argv, unexecuted, imported", [
+    (["--help"], "contour numerics oscsum primes pte", ""),
+    (["pnt-verify", "--x-max", "10"], "contour numerics oscsum primes pte", ""),
+    (["pte-construct", "--n", "10", "--m", "1"], "contour numerics oscsum primes", ""),
+    (["frm-degree", "--r", "4"], "contour numerics oscsum primes", ""),
+    (["pigeonhole", "--n", "10", "--k", "2"], "contour numerics oscsum primes", ""),
+    (["osc-sum", "--x", "100"], "contour primes pte", "mpmath"),
+], ids=["help", "pnt-verify", "pte-construct", "frm-degree", "pigeonhole", "osc-sum"])
+def test_command_executes_only_the_modules_it_uses(argv, unexecuted, imported):
     proc = run_process(["-c", _UNEXECUTED_PROBE] + argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["cancelsum." + m for m in unexecuted.split()]
+    modules, libraries = proc.stdout.split("\n")[:2]
+    assert modules.split() == ["cancelsum." + m for m in unexecuted.split()]
+    assert libraries.split() == imported.split()
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +661,36 @@ def test_readme_stdout_pinned(capsys, command):
     code, out, err = run(command.split(), capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _README_STDOUT[command]
+
+
+_HELP_STDOUT = {
+    "": "f2fbdf4f410d70b71756a4fade27d4e19c54f11fd2e20c3f142fcfd3fa7cc426",
+    "pnt-verify": "659e18aab7bab8d7c2285e2136c5e90aeb6cc17e22e489f07006dfcaf2efec30",
+    "osc-sum": "56b394cd61eb91672c4e26ea98861dadce8f0a0c3036bee6dc8ed29c3e40e539",
+    "bound": "9a7d43ea3e8390ca2226ff9af245d93c44369af5a8680c610eb6878540b296c7",
+    "psi-sum": "3db3c78c1fe2cd88ae87657a729dc62646b04137f347ec22c1b94b32194573bc",
+    "psi-half": "4abd24bd30113ca3a6c8c023a89ac831d9bef17522641cf439165341dd4cfe2c",
+    "pte-construct": "b7133afdda5545560c3f0285bcb00cc799877858ef983e7c89fdf0e0349fed8a",
+    "pte-verify": "9aa8aa6aa83379096825bf116d7e3a24cfd1996809ba4b5d05bcbf5cabdb3d64",
+    "frm-degree": "4e32ee884c2ff6338a3b64bdca43b0aa5ceacbee914371de29eae4d717f2c51c",
+    "lemma-sum": "5ee9d0580b3985367cfe14d2c4c39596b6d737c00dd8eebe76c08b52857e9bfd",
+    "contour-check": "82dec3b83bf6ad2161e1dcd1574d9f428c86a901585ee9a09477189122159ab6",
+    "exponent-fit": "a060b3a878a447581a7e0c3818576d0f94f90af958f85b2e8840f0887860593a",
+    "pigeonhole": "aca16c7033028851886ad1ad3a17f335187000a1379e3180c097a3cf11d176cb",
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP_STDOUT), ids=lambda c: c or "cancelsum")
+def test_help_pinned(monkeypatch, capsys, command):
+    # the parser is built without executing numerics or oscsum, so each
+    # --help, with its --kernel choices in order, is pinned by the sha256
+    # of its stdout at argparse's 80-column width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(command.split() + ["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _HELP_STDOUT[command]
 
 
 _PSI_STDOUT = {
