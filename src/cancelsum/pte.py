@@ -13,6 +13,8 @@ f_r_exact and detect_degree cover the companion polynomial fact: the
 alternating sum f_r(M) = sum_{|l|<2M} (-1)^l (4M^2 - l^2)^r collapses
 to a polynomial in M of degree r-1 for even r (r for odd r), found by
 exact forward differences and certified by integer interpolation.
+f_r and the even-order lemma sums share one integer walk,
+_square_powers: sum_{|l|<=L} (-1)^l (N - l^2 D)^h.
 
 The pair, f_r, the degree and the pigeonhole exponent need only integers
 and Fractions, so importing this module loads no mpmath.  mpmath, with
@@ -34,8 +36,8 @@ if TYPE_CHECKING:
     from .numerics import PrecisionContext
 
 # Largest power r of a power-sum row or of f_r; the largest in use is 16
-# (frm-degree --r-max 16); frm-degree at the cap takes about 2 s (CPython
-# 3.11, one core).
+# (frm-degree --r-max 16); frm-degree at the cap takes about 0.3 s
+# (CPython 3.11, one core of a 2-core Xeon).
 MAX_POWER = 64
 
 # Largest n of a pair; the largest in use is about 105.
@@ -47,8 +49,8 @@ MAX_PAIR_M = 8
 
 # Largest n * r_max of a power-sum table: n powers for each r <= r_max.
 # The largest in use is about 420 (pte-verify --n 105 --m 1); at this cap
-# and the m cap, pte-verify --n 1562 --m 8 --r-max 64 takes about 4 s
-# (CPython 3.11, one core).
+# and the m cap, pte-verify --n 1562 --m 8 --r-max 64 takes about 2 s
+# (CPython 3.11, one core of a 2-core Xeon).
 MAX_POWER_SUM_TERMS = 100_000
 
 
@@ -92,13 +94,10 @@ def construct_pair(n: int, m: int) -> PTEPair:
         raise ResourceError("m = %d exceeds budget %d" % (m, MAX_PAIR_M))
     N = integer_root(2 * m + 1, (2 * n) ** (2 * m))
     power = N ** (2 * m + 1)
-    adjusted = False
-    if power <= (2 * n - 1) ** 2:
+    adjusted = power <= (2 * n - 1) ** 2
+    if adjusted:
         N += 1
         power = N ** (2 * m + 1)
-        adjusted = True
-    if power <= (2 * n - 1) ** 2:
-        raise DomainError("positivity unreachable for n=%d, m=%d" % (n, m))
     xs = tuple(power - (2 * i - 2) ** 2 for i in range(1, n + 1))
     ys = tuple(power - (2 * i - 1) ** 2 for i in range(1, n + 1))
     return PTEPair(n=n, m=m, N=N, xs=xs, ys=ys, adjusted=adjusted)
@@ -176,18 +175,22 @@ def empirical_constant(rows: list[PTERow]) -> mpf:
     return max(inside)
 
 
+def _square_powers(N: int, D: int, L: int, h: int) -> int:
+    """sum_{|l| <= L} (-1)^l (N - l^2 D)^h in integers, l and -l together."""
+    total = 0
+    for l in range(1, L + 1):
+        term = (N - l * l * D) ** h
+        total += -term if l % 2 else term
+    return N ** h + 2 * total
+
+
 def f_r_exact(M: int, r: int) -> int:
     """sum_{|l| < 2M} (-1)^l (4M^2 - l^2)^r, exact."""
     if M < 1:
         raise DomainError("f_r_exact needs M >= 1")
     if r < 0:
         raise DomainError("f_r_exact needs r >= 0")
-    sq = 4 * M * M
-    total = sq ** r
-    for l in range(1, 2 * M):
-        term = (sq - l * l) ** r
-        total += 2 * term if l % 2 == 0 else -2 * term
-    return total
+    return _square_powers(4 * M * M, 1, 2 * M - 1, r)
 
 
 class IntegerPolynomial(NamedTuple):
@@ -249,25 +252,14 @@ def detect_degree(r: int) -> tuple[int, IntegerPolynomial]:
         diff_rows.append([row[i + 1] - row[i] for i in range(len(row) - 1)])
     degree = len(diff_rows) - 2  # last row is all zeros
 
-    # Newton forward interpolant in t = M - 1, then shift to M.
-    t_coeffs = [Fraction(0)] * (degree + 1)
-    basis = [Fraction(1)]  # coefficients of prod_{i<j} (t - i) / j!
+    # Newton forward interpolant from M = 1, in powers of M
+    m_coeffs = [Fraction(0)] * (degree + 1)
+    basis = [1]  # integer coefficients of prod_{i<j} (M - 1 - i)
     for j in range(degree + 1):
         lead = Fraction(diff_rows[j][0], math.factorial(j))
         for idx, c in enumerate(basis):
-            t_coeffs[idx] += lead * c
-        next_basis = [Fraction(0)] * (len(basis) + 1)
-        for idx, c in enumerate(basis):
-            next_basis[idx + 1] += c
-            next_basis[idx] -= c * j
-        basis = next_basis
-    # substitute t = M - 1
-    m_coeffs = [Fraction(0)] * (degree + 1)
-    for j, c in enumerate(t_coeffs):
-        if c == 0:
-            continue
-        for i in range(j + 1):
-            m_coeffs[i] += c * math.comb(j, i) * (-1) ** (j - i)
+            m_coeffs[idx] += lead * c
+        basis = [a - (j + 1) * b for a, b in zip([0] + basis, basis + [0])]  # times M - (j + 1)
     ints = []
     for c in m_coeffs:
         if c.denominator != 1:
@@ -312,20 +304,18 @@ def lemma_sum(x, T, k: int, ctx: PrecisionContext | None = None):
     Tf = to_fraction_exact(T)
     if xf * Tf < 1:
         raise DomainError("lemma_sum needs x*T >= 1")
-    _, L = square_form(Tf).index_range(xf)
+    q = square_form(Tf)
+    _, L = q.index_range(xf)
     if k % 2 == 0:
-        half = k // 2
-        total = Fraction(0)
-        for l in range(-L, L + 1):
-            term = (xf - Fraction(l * l) / Tf) ** half
-            total += term if l % 2 == 0 else -term
-        return total
+        # x - l^2/T = (N - l^2 D) / (D T) with xT = N/D
+        N, D = (xf * Tf).as_integer_ratio()
+        return Fraction(_square_powers(N, D, L, k // 2)) / (D * Tf) ** (k // 2)
     if ctx is None:
         raise DomainError("odd k needs a PrecisionContext")
     with ctx.workprec():
         total = mpf(0)
-        for l in range(-L, L + 1):
-            term = to_mpf_exact(xf - Fraction(l * l) / Tf) ** (mpf(k) / 2)
+        for l, gap in q.gaps(xf, range(-L, L + 1)):
+            term = to_mpf_exact(gap) ** (mpf(k) / 2)
             total = total + term if l % 2 == 0 else total - term
         return total
 

@@ -153,6 +153,14 @@ def test_resource_error_exit_3(capsys):
     # the contour's height u sqrt(x) needs x > 0
     ["contour-check", "--x", "-19", "--kernel", "exp_sqrt", "--form", "custom",
      "--a", "1/3", "--b", "5", "--d", "-2", "--bits", "320"],
+    # main2 outside its regime: T > 0, beta^2 <= T, 0 <= alpha <= 2, x >= 0
+    ["bound", "--family", "main2", "--x", "10", "--T", "-1"],
+    ["bound", "--family", "main2", "--x", "10", "--T", "0"],
+    ["bound", "--family", "main2", "--x", "-10"],
+    ["bound", "--family", "main2", "--x", "10", "--beta", "5", "--T", "1"],
+    ["bound", "--family", "main2", "--x", "10", "--alpha", "5"],
+    # main2 evaluates at a fixed 192 bits and reads no --bits
+    ["bound", "--family", "main2", "--x", "100", "--bits", "500"],
     pytest.param([], id="no subcommand"),
 ], ids=" ".join)
 def test_bad_input_one_error_line(argv):
@@ -661,6 +669,31 @@ def test_readme_stdout_pinned(capsys, command):
     code, out, err = run(command.split(), capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _README_STDOUT[command]
+
+
+_EXACT_STDOUT = {
+    "frm-degree --r-max 64":
+        (0, "0b72345328e0b94ef55af89371d61fbef0b99196133ac54d7087c4b4ea4e103a"),
+    "pnt-verify --x-max 3000":
+        (0, "cb61e5722b32d640fe8acfa09420aad66a02865bc718bc94c69303af8ce9e8bc"),
+    "pnt-verify --x-max 3000 --inject-corruption":
+        (1, "28f03e80e14373b8d76c44a588f513666be3fe9214c433c4dd53b7ff344b7bb8"),
+    "lemma-sum --x 319/2 --T 190 --k 8":
+        (0, "76dab16fc9652fd4b95ed1b95ddab4eb39123a0f31dd04cb8c284e2527adc11c"),
+    "lemma-sum --x 319/2 --T 190 --k 9":
+        (0, "a5a377806253222e651ba5fc3dba25bfcfba8e0a31508e71fba303a79825d2b5"),
+}
+
+
+@pytest.mark.parametrize("command", list(_EXACT_STDOUT))
+def test_exact_paths_stdout_pinned(capsys, command):
+    # the exact identities beyond the README's sizes, by the sha256 of
+    # their stdout as first recorded: f_r to r = 64, the pentagonal
+    # checksum on a sound and a corrupted table, and an even and an odd
+    # lemma sum over 1,101 terms at rational x
+    code, out, err = run(command.split(), capsys)
+    assert (code, err) == (_EXACT_STDOUT[command][0], "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_STDOUT[command][1]
 
 
 _HELP_STDOUT = {

@@ -389,8 +389,14 @@ def test_bound_main2_decreasing_in_beta():
 
 
 def test_bound_main2_validation():
-    with pytest.raises(DomainError):
-        bound_main2(1, 0, 100, 100, 0)
+    # delta_slack > 0, x >= 0 and complex_exp_kernel's regime
+    slack = Fraction(1, 100)
+    for alpha, beta, T, x, delta in ((1, 0, 100, 100, 0), (1, 0, -1, 10, slack),
+                                     (1, 0, 0, 10, slack), (1, 5, 1, 10, slack),
+                                     (5, 0, 1, 10, slack), (-1, 0, 1, 10, slack),
+                                     (1, 0, 1, -10, slack)):
+        with pytest.raises(DomainError):
+            bound_main2(alpha, beta, T, x, delta)
 
 
 def test_sumreport_json_keys(ctx192):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -221,7 +222,7 @@ def test_parity_law_and_vanishing_differences():
 
 
 def test_interpolant_out_of_sample():
-    for r in (2, 3, 4, 5):
+    for r in (2, 3, 4, 5, 16, 33, 64):
         _, poly = detect_degree(r)
         for M in range(50, 60):
             assert poly.evaluate(M) == f_r_exact(M, r)
@@ -303,6 +304,17 @@ def test_lemma_sum_k2_hand():
 def test_lemma_sum_even_exact_rational():
     val = lemma_sum(Fraction(7, 2), Fraction(8, 3), 4)
     assert isinstance(val, Fraction)
+    # against one Fraction per term, at seeded random rational x and T
+    rng = random.Random(4)
+    for _ in range(40):
+        x = Fraction(rng.randrange(1, 400), rng.choice((1, 2, 3, 7)))
+        T = Fraction(rng.randrange(1, 300), rng.choice((1, 3)))
+        if x * T < 1:
+            continue
+        k = 2 * rng.randrange(6)
+        oracle = sum((-1) ** abs(l) * (x - Fraction(l * l) / T) ** (k // 2)
+                     for l in range(-400, 401) if l * l < x * T)
+        assert lemma_sum(x, T, k) == oracle
 
 
 def test_lemma_sum_odd_needs_ctx(ctx192):
