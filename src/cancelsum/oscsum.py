@@ -348,14 +348,18 @@ def maximize_delta(a, c) -> tuple[mpf, mpf]:
 
 
 def bound_main1(a, c, x, ctx: PrecisionContext) -> mpf:
-    """Predicted ceiling sqrt(x) e^{w c sqrt(x)} for the real-kernel sum.
+    """Predicted ceiling sqrt(x) e^{w c sqrt(x)} for the real-kernel sum,
+    for x >= 0.
 
     w comes from maximize_delta at the context's working precision, so
     every digit of the bound is carried by the exact stationarity root.
     """
+    xf = _to_fraction(x)
+    if xf < 0:
+        raise DomainError("bound_main1 needs x >= 0")
     with ctx.workprec():
         _, w = maximize_delta(a, c)
-        sx = mp.sqrt(to_mpf_exact(_to_fraction(x)))
+        sx = mp.sqrt(to_mpf_exact(xf))
         return sx * mp.exp(w * rate_value(c) * sx)
 
 

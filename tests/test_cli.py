@@ -153,6 +153,8 @@ def test_resource_error_exit_3(capsys):
     # the contour's height u sqrt(x) needs x > 0
     ["contour-check", "--x", "-19", "--kernel", "exp_sqrt", "--form", "custom",
      "--a", "1/3", "--b", "5", "--d", "-2", "--bits", "320"],
+    # main1 needs x >= 0, also with an explicit --bits
+    ["bound", "--family", "main1", "--x", "-10", "--bits", "200"],
     # main2 outside its regime: T > 0, beta^2 <= T, 0 <= alpha <= 2, x >= 0
     ["bound", "--family", "main2", "--x", "10", "--T", "-1"],
     ["bound", "--family", "main2", "--x", "10", "--T", "0"],
