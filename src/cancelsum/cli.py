@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,13 @@ _RATE_TOKENS = {
 
 # Points in one generated --x-grid; the largest grid in use has 20.
 MAX_GRID_POINTS = 1_000
+
+# Digits of one input number, its text and its decimal exponent together;
+# the largest in use is 1e30.  CPython prints an int of at most 4,300
+# digits by default, and bound --family main2 takes 52 s at --x 1e1000000
+# (CPython 3.11, one core of a 2-core Xeon).
+MAX_NUMBER_DIGITS = 1_000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # as Fraction reads it
 
 # primes.PSI_METHODS, spelled out so that building the parser does not
 # execute primes; a test keeps the two equal
@@ -56,15 +64,22 @@ def _input_parser(convert):
 _int = _input_parser(int)
 
 
+def _sized(text: str) -> str:
+    """text, once its number is known to fit MAX_NUMBER_DIGITS: the size
+    is read off the text, before Fraction expands a decimal exponent."""
+    exponent = _EXPONENT.search(text)
+    if len(text) > MAX_NUMBER_DIGITS or (
+            exponent and abs(int(exponent[1])) > MAX_NUMBER_DIGITS - len(text)):
+        raise ResourceError("number %.40s exceeds budget of %d digits" % (text, MAX_NUMBER_DIGITS))
+    return text
+
+
 @_input_parser
 def _number(text):
-    """Exact rational: int, Fraction ("3/2") or decimal ("2.5", "1e-14")."""
-    text = text.strip()
-    if "/" in text:
-        return Fraction(text)
-    if "." in text or "e" in text or "E" in text:
-        return numerics.to_fraction_exact(text)
-    return int(text)
+    """The one number rule: Fraction(text) ("7", "3/2", "2.5", "1e-14"),
+    as an int when it is integral."""
+    value = Fraction(_sized(text))
+    return value.numerator if value.denominator == 1 else value
 
 
 def _rate(text):
@@ -91,13 +106,7 @@ def _x_grid(text: str) -> list:
         raise DomainError("needs n >= 1 and 0 < lo <= hi")
     if n > MAX_GRID_POINTS:
         raise ResourceError("grid of %d points exceeds budget %d" % (n, MAX_GRID_POINTS))
-    if n == 1:
-        return [int(round(lo))]
-    pts = []
-    for i in range(n):
-        t = i / (n - 1)
-        pts.append(int(round(lo * (hi / lo) ** t)))
-    return pts
+    return [int(round(lo * (hi / lo) ** (i / max(n - 1, 1)))) for i in range(n)]
 
 
 def _resolve_ctx(bits, x, rate) -> numerics.PrecisionContext:
@@ -127,15 +136,32 @@ def _emit(rows: list) -> None:
     writer.writerows(row.values() for row in rows)
 
 
-def _sieve_for(limit: int, path) -> primes.LambdaSieve:
-    if path and os.path.exists(path):
-        sieve = primes.load_sieve(path)
-        if sieve.limit >= limit:
-            return sieve
-    sieve = primes.build_sieve(limit)
-    if path:
-        primes.save_sieve(sieve, path)
-    return sieve
+def _psi_inputs(args):
+    """(x, T, ctx, sieve) of psi-sum and psi-half: the context first, then
+    a sieve to sieve_limit(x), read from --sieve-cache when that covers
+    it, else built and written there."""
+    ctx = _resolve_ctx(args.bits, args.x, 0)
+    limit, path = primes.sieve_limit(args.x), args.sieve_cache
+    sieve = primes.load_sieve(path) if path and os.path.exists(path) else None
+    if sieve is None or sieve.limit < limit:
+        sieve = primes.build_sieve(limit)
+        if path:
+            primes.save_sieve(sieve, path)
+    return args.x, args.T, ctx, sieve
+
+
+def _sums(args, with_bound):
+    """(x, report) for each x of the grid, the kernel and form built once;
+    with_bound attaches main1's bound, stated for real kernels, to each
+    report of a real kernel with growth."""
+    kernel = _KERNELS[args.kernel](args)
+    q = _FORMS[args.form](args)
+    for x in args.x:
+        ctx = _resolve_ctx(args.bits, x, kernel.growth)
+        bound = None
+        if with_bound and kernel.real and kernel.growth:
+            bound = oscsum.bound_main1(q.a, kernel.growth, x, ctx)
+        yield x, oscsum.alternating_sum(kernel, q, x, ctx, predicted_bound=bound)
 
 
 # ---------------------------------------------------------------- commands
@@ -165,17 +191,7 @@ def cmd_pnt_verify(args) -> int:
 
 
 def cmd_osc_sum(args) -> int:
-    kernel = _KERNELS[args.kernel](args)
-    q = _FORMS[args.form](args)
-    rows = []
-    for x in args.x:
-        ctx = _resolve_ctx(args.bits, x, kernel.growth)
-        bound = None
-        if kernel.growth:
-            bound = oscsum.bound_main1(q.a, kernel.growth, x, ctx)
-        report = oscsum.alternating_sum(kernel, q, x, ctx, predicted_bound=bound)
-        rows.append(report.to_json_dict())
-    _emit(rows)
+    _emit([report.to_json_dict() for _, report in _sums(args, with_bound=True)])
     return 0
 
 
@@ -206,9 +222,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_psi_sum(args) -> int:
-    x, T = args.x, args.T
-    ctx = _resolve_ctx(args.bits, x, 0)
-    sieve = _sieve_for(primes.sieve_limit(x), args.sieve_cache)
+    x, T, ctx, sieve = _psi_inputs(args)
     report = primes.psi_weak_pentagonal(x, T, sieve, ctx, method=args.method)
     row = report.to_json_dict()
     _emit([{"x": row.pop("x"), "T": str(T), "method": args.method, **row}])
@@ -216,9 +230,7 @@ def cmd_psi_sum(args) -> int:
 
 
 def cmd_psi_half(args) -> int:
-    x, T = args.x, args.T
-    ctx = _resolve_ctx(args.bits, x, 0)
-    sieve = _sieve_for(primes.sieve_limit(x), args.sieve_cache)
+    x, T, ctx, sieve = _psi_inputs(args)
     report = primes.psi_interval_half(x, T, sieve, ctx)
     _emit([{"x": str(x), "T": str(T), **report.to_json_dict()}])
     return 0
@@ -291,13 +303,7 @@ def cmd_contour_check(args) -> int:
 
 
 def cmd_exponent_fit(args) -> int:
-    kernel = _KERNELS[args.kernel](args)
-    q = _FORMS[args.form](args)
-    samples = []
-    for x in args.x:
-        ctx = _resolve_ctx(args.bits, x, kernel.growth)
-        report = oscsum.alternating_sum(kernel, q, x, ctx)
-        samples.append((float(x), report.abs_value))
+    samples = [(float(x), report.abs_value) for x, report in _sums(args, with_bound=False)]
     w_hat, intercept, rms = oscsum.empirical_exponent(samples)
     _emit([{"points": len(samples), "w_hat": repr(w_hat),
             "intercept": repr(intercept), "rms": repr(rms)}])

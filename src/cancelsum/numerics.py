@@ -16,7 +16,6 @@ policy and the conversions between exact rationals and mpf.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -53,11 +52,9 @@ class PrecisionContext(NamedTuple("PrecisionContext", [("bits", int)])):
         """bits + guard_bits, the precision of workprec()."""
         return self.bits + self.guard_bits
 
-    @contextmanager
     def workprec(self):
-        """mpmath context at work_bits binary precision."""
-        with mp.workprec(self.work_bits):
-            yield mp
+        """mpmath's precision manager at work_bits binary precision."""
+        return mp.workprec(self.work_bits)
 
 
 def context_for(x, c) -> PrecisionContext:
@@ -124,10 +121,6 @@ def to_fraction_exact(value) -> Fraction:
         sign, man, exp, _ = value._mpf_
         frac = Fraction(man) * Fraction(2) ** exp
         return -frac if sign else frac
-    num = getattr(value, "numerator", None)
-    den = getattr(value, "denominator", None)
-    if num is not None and den is not None:
-        return Fraction(num, den)
     raise DomainError("cannot convert %r to an exact rational" % (value,))
 
 

@@ -10,7 +10,11 @@ The coefficients of q are kept as exact Fractions so the strict index
 constraint q(n) < x is decided by rational arithmetic, never by a
 rounded float: sums like the pentagonal checksum live exactly on such
 boundaries (q(-8) = 100 at x = 100) and one wrongly included index
-destroys the cancellation being measured.
+destroys the cancellation being measured.  QuadraticForm.cleared is the
+one exact form of the gaps x - q(n), over the integers, and
+alternating_walk is the one loop that accumulates (-1)^n K(x - q(n)):
+alternating_sum walks n by increasing |n|, pte.lemma_sum at odd k from
+-L to L, each keeping the order its digits were first recorded in.
 
 The predicted ceiling for real exponential kernels is
 sqrt(x) e^{w c sqrt(x)} where w = min(1, max_r Delta(r)) and
@@ -71,7 +75,7 @@ class QuadraticForm(NamedTuple("QuadraticForm",
             (-to_mpf_exact(self.b) + s) / (2 * to_mpf_exact(self.a)),
         )
 
-    def _cleared(self, x) -> tuple[int, int, int, int]:
+    def cleared(self, x) -> tuple[int, int, int, int]:
         """(scale, A, B, C) with scale (q(n) - x) = A n^2 + B n + C, all integers."""
         xf = _to_fraction(x)
         scale = lcm(self.a.denominator, self.b.denominator, (self.d - xf).denominator)
@@ -80,7 +84,7 @@ class QuadraticForm(NamedTuple("QuadraticForm",
     def gaps(self, x, indices):
         """(n, x - q(n)) for each n of indices, x - q(n) an int where it is
         integral and a Fraction elsewhere."""
-        scale, A, B, C = self._cleared(x)
+        scale, A, B, C = self.cleared(x)
         for n in indices:
             num = -(A * n + B) * n - C
             yield n, (num // scale if num % scale == 0 else Fraction(num, scale))
@@ -93,7 +97,7 @@ class QuadraticForm(NamedTuple("QuadraticForm",
         Decided in integers: with denominators cleared, q(n) < x reads
         A n^2 + B n + C < 0, that is (2 A n + B)^2 < disc = B^2 - 4 A C,
         so |2 A n + B| <= s for the largest integer s with s^2 < disc."""
-        _, A, B, C = self._cleared(x)
+        _, A, B, C = self.cleared(x)
         disc = B * B - 4 * A * C
         if disc <= 0:
             raise EmptyRangeError("no integer n satisfies q(n) < %s" % (x,))
@@ -257,13 +261,31 @@ def _interleaved(lo: int, hi: int):
     return chain((start,), (n for pair in pairs for n in pair if n is not None))
 
 
+def alternating_walk(K, q: QuadraticForm, x, indices) -> mpc:
+    """sum over n of indices of (-1)^n K(x - q(n)) for a bound kernel K,
+    in the order of indices, at mp.prec.  The terms accumulate on raw
+    values with the mpf_add/mpf_sub calls that mpc addition makes, so
+    the total is the mpc sum's bit for bit."""
+    prec = mp.prec
+    re = im = fzero
+    for n, y in q.gaps(x, indices):
+        add = mpf_sub if n % 2 else mpf_add
+        term = K(y)
+        if isinstance(term, mpc):
+            t_re, t_im = term._mpc_
+            im = add(im, t_im, prec, "n")
+        else:
+            t_re = term._mpf_
+        re = add(re, t_re, prec, "n")
+    return mp.make_mpc((re, im))
+
+
 def alternating_sum(kernel: KernelSpec, q: QuadraticForm, x, ctx: PrecisionContext,
                     predicted_bound=None) -> SumReport:
     """Evaluate S(x) = sum_{q(n) < x} (-1)^n kernel(x - q(n)).
 
-    Terms are accumulated at bits + guard_bits in order of increasing
-    |n|, on raw values with the mpf_add/mpf_sub calls that mpc addition
-    makes, so the total is the mpc sum's bit for bit.  Raises
+    alternating_walk accumulates the terms at bits + guard_bits in order
+    of increasing |n|.  Raises
     PrecisionError when the precision policy for the kernel's growth
     constant exceeds ctx.bits, and EmptyRangeError when no index
     satisfies the constraint.
@@ -273,20 +295,8 @@ def alternating_sum(kernel: KernelSpec, q: QuadraticForm, x, ctx: PrecisionConte
         raise PrecisionError("sum at x=%s of a %s kernel needs %d bits, context has %d"
                              % (x, kernel.family, need, ctx.bits))
     lo, hi = q.index_range(x)
-    prec = ctx.work_bits
     with ctx.workprec():
-        K = kernel.bind_real(ctx)
-        re = im = fzero
-        for n, y in q.gaps(x, _interleaved(lo, hi)):
-            add = mpf_sub if n % 2 else mpf_add
-            term = K(y)
-            if isinstance(term, mpc):
-                t_re, t_im = term._mpc_
-                im = add(im, t_im, prec, "n")
-            else:
-                t_re = term._mpf_
-            re = add(re, t_re, prec, "n")
-        total = mp.make_mpc((re, im))
+        total = alternating_walk(kernel.bind_real(ctx), q, x, _interleaved(lo, hi))
         abs_value = abs(total)
         bound_v = None
         ratio = None

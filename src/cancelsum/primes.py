@@ -237,27 +237,26 @@ def _cutoffs(x, T, sieve: LambdaSieve) -> list[int]:
     e^sqrt(t) exists.  A t or e^sqrt(t) past the doubles reads as the
     largest double, a lower bound.  Every other index has y within the
     guard of an integer and takes the exact route of _cutoff."""
-    xf, Tf = to_fraction_exact(x), to_fraction_exact(T)
+    Tf = to_fraction_exact(T)
     limit = sieve.limit
-    # t_j = (head - j^2 step) / den
-    head, step = xf.numerator * Tf.numerator, xf.denominator * Tf.denominator
-    den = xf.denominator * Tf.numerator
+    L = _ell_max(x, Tf)
+    scale, A, _, C = square_form(Tf).cleared(x)  # t_j = (-C - A j^2) / scale
     cut = []
-    for j in range(_ell_max(xf, Tf) + 1):
-        num = head - j * j * step
+    for j in range(L + 1):
+        num = -C - A * j * j
         try:
-            y = exp(sqrt(num / den))
+            y = exp(sqrt(num / scale))
         except OverflowError:
             y = sys.float_info.max
         margin = y * _CUTOFF_GUARD
         if y - margin >= limit + 1:
-            raise _beyond_limit(Fraction(num, den), limit)
+            raise _beyond_limit(Fraction(num, scale), limit)
         # accepted, n < y - margin < limit + 1, so n <= limit
         n = int(y)
         if y - n > margin and n + 1 - y > margin:
             cut.append(n)
         else:
-            cut.append(_cutoff(Fraction(num, den), limit))
+            cut.append(_cutoff(Fraction(num, scale), limit))
     return cut
 
 
@@ -466,10 +465,10 @@ def psi_interval_half(x, T, sieve: LambdaSieve, ctx: PrecisionContext) -> Interv
 
 def interval_union_measure(x, T, ctx: PrecisionContext) -> mpf:
     """Lebesgue measure of the interval union, normalized by e^{sqrt(x)}."""
-    xf, Tf = to_fraction_exact(x), to_fraction_exact(T)
-    L = _ell_max(xf, Tf)
+    Tf = to_fraction_exact(T)
+    L = _ell_max(x, Tf)
     with ctx.workprec():
-        reach = [mp.exp(mp.sqrt(to_mpf_exact(xf - Fraction(j * j) / Tf))) for j in range(L + 1)]
+        reach = [mp.exp(mp.sqrt(to_mpf_exact(t))) for _, t in square_form(Tf).gaps(x, range(L + 1))]
         total = mpf(0)
         for l in range(1, L // 2 + 1):
             total += reach[2 * l - 1] - reach[2 * l]

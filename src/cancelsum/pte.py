@@ -14,7 +14,10 @@ alternating sum f_r(M) = sum_{|l|<2M} (-1)^l (4M^2 - l^2)^r collapses
 to a polynomial in M of degree r-1 for even r (r for odd r), found by
 exact forward differences and certified by integer interpolation.
 f_r and the even-order lemma sums share one integer walk,
-_square_powers: sum_{|l|<=L} (-1)^l (N - l^2 D)^h.
+_square_powers: sum_{|l|<=L} (-1)^l (N - l^2 D)^h.  The lemma sums take
+x - l^2/T from oscsum's QuadraticForm.cleared, in integers over one
+common denominator, and the odd-order ones accumulate in
+oscsum.alternating_walk, the walk of every alternating sum.
 
 The pair, f_r, the degree and the pigeonhole exponent need only integers
 and Fractions, so importing this module loads no mpmath.  mpmath, with
@@ -52,6 +55,11 @@ MAX_PAIR_M = 8
 # and the m cap, pte-verify --n 1562 --m 8 --r-max 64 takes about 2 s
 # (CPython 3.11, one core of a 2-core Xeon).
 MAX_POWER_SUM_TERMS = 100_000
+
+# Bits of an even lemma sum's numerator or denominator, bounded before
+# its walk; the largest in use has about 70.  CPython prints an int of
+# at most 4,300 digits (about 14,300 bits) by default.
+MAX_LEMMA_BITS = 10_000
 
 
 def integer_root(k: int, value: int) -> int:
@@ -293,11 +301,10 @@ def pigeonhole_c(n: int, k: int) -> Fraction:
 
 def lemma_sum(x, T, k: int, ctx: PrecisionContext | None = None):
     """sum_{l^2 < xT} (-1)^l (x - l^2/T)^{k/2}: exact Fraction for even k
-    and rational x, T; high-precision mpf for odd k (ctx required)."""
-    from mpmath import mpf
-
-    from .numerics import to_fraction_exact, to_mpf_exact
-    from .oscsum import square_form
+    and rational x, T; high-precision mpf for odd k (ctx required).
+    ResourceError when an even sum could pass MAX_LEMMA_BITS."""
+    from .numerics import to_fraction_exact
+    from .oscsum import alternating_walk, power_kernel, square_form
     if k < 0:
         raise DomainError("lemma_sum needs k >= 0")
     xf = to_fraction_exact(x)
@@ -307,25 +314,29 @@ def lemma_sum(x, T, k: int, ctx: PrecisionContext | None = None):
     q = square_form(Tf)
     _, L = q.index_range(xf)
     if k % 2 == 0:
-        # x - l^2/T = (N - l^2 D) / (D T) with xT = N/D
-        N, D = (xf * Tf).as_integer_ratio()
-        return Fraction(_square_powers(N, D, L, k // 2)) / (D * Tf) ** (k // 2)
+        # x - l^2/T = (-C - l^2 A) / scale, and each of the 2L + 1 terms
+        # is at most (-C)^h, so these bits bound the sum before the walk
+        scale, A, _, C = q.cleared(xf)
+        h = k // 2
+        if h * max(-C, scale).bit_length() + (2 * L + 1).bit_length() > MAX_LEMMA_BITS:
+            raise ResourceError("lemma sum at k = %d exceeds budget of %d bits"
+                                % (k, MAX_LEMMA_BITS))
+        return Fraction(_square_powers(-C, A, L, h), scale ** h)
     if ctx is None:
         raise DomainError("odd k needs a PrecisionContext")
     with ctx.workprec():
-        total = mpf(0)
-        for l, gap in q.gaps(xf, range(-L, L + 1)):
-            term = to_mpf_exact(gap) ** (mpf(k) / 2)
-            total = total + term if l % 2 == 0 else total - term
-        return total
+        K = power_kernel(Fraction(k, 2)).bind_real(ctx)
+        return alternating_walk(K, q, xf, range(-L, L + 1)).real
 
 
 def lemma_bound(x, T, k: int, u, ctx: PrecisionContext) -> mpf:
     """Reference ceiling sqrt(xT) (e^{k log(x)/2 - pi u sqrt(x)}
-    + ((u^4 + 4 u^2 T) x^2)^{1/4} / sqrt(T)) with free height u."""
+    + ((u^4 + 4 u^2 T) x^2)^{1/4} / sqrt(T)) with free height u > 0."""
     from mpmath import mp, mpf
 
     from .numerics import to_fraction_exact, to_mpf_exact
+    if to_fraction_exact(u) <= 0:
+        raise DomainError("lemma_bound needs u > 0")
     with ctx.workprec():
         xv = to_mpf_exact(to_fraction_exact(x))
         Tv = to_mpf_exact(to_fraction_exact(T))

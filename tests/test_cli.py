@@ -163,6 +163,9 @@ def test_resource_error_exit_3(capsys):
     ["bound", "--family", "main2", "--x", "10", "--alpha", "5"],
     # main2 evaluates at a fixed 192 bits and reads no --bits
     ["bound", "--family", "main2", "--x", "100", "--bits", "500"],
+    # the lemma bound's height u must be positive
+    ["lemma-sum", "--x", "1", "--T", "4", "--k", "2", "--u", "0"],
+    ["lemma-sum", "--x", "1", "--T", "4", "--k", "2", "--u", "-1"],
     pytest.param([], id="no subcommand"),
 ], ids=" ".join)
 def test_bad_input_one_error_line(argv):
@@ -200,11 +203,20 @@ def test_precision_budget_exit_3(argv):
     ["pte-construct", "--n", "100", "--m", "100"],
     ["pte-verify", "--n", "100", "--m", "200"],
     ["osc-sum", "--kernel", "power", "--x-grid", "geom:100:101:100000000"],
+    ["bound", "--family", "main2", "--x", "1e5000"],
+    ["bound", "--family", "main1", "--a", "1e5000", "--x", "1"],
+    ["bound", "--family", "main1", "--a", "1e-5000", "--x", "1"],
+    ["lemma-sum", "--x", "1e-5000", "--T", "1e5000", "--k", "1"],
+    ["bound", "--family", "main2", "--x", "1e1000000"],
+    ["osc-sum", "--x", "1e100000000"],
+    ["osc-sum", "--x", "1e100_000_000"],
+    ["lemma-sum", "--x", "100", "--T", "1", "--k", "4400"],
 ], ids=" ".join)
 def test_work_budget_exit_3(argv):
     # index ranges, initial contour panels, partition tables, powers r,
-    # power-sum tables n x r, pair exponents m and grid points are capped
-    # before any work
+    # power-sum tables n x r, pair exponents m, grid points, the digits of
+    # an input number (before a decimal exponent expands) and the bits of
+    # an even lemma sum are capped before any work
     assert_one_error_line(run_process(["-m", "cancelsum.cli"] + argv), 3)
 
 
@@ -358,6 +370,22 @@ def test_osc_sum_bound_is_the_bound_command(kernel, c, capsys):
     assert code == 0
     assert row["bound"] == rows_of(out)[0]["bound"]
     assert row["bits"] == {"growth-p1": "214", "1/3": "128"}[c]
+
+
+@pytest.mark.parametrize("beta", ["0", "10"])
+def test_osc_sum_bound_for_real_kernels_only(beta, capsys):
+    # main1's bound is stated for real kernels: complex_exp with beta = 0
+    # is real and carries main1's bound for a = 1/T and c = alpha; with
+    # beta != 0 the bound and ratio columns are empty
+    code, out, _ = run(["osc-sum", "--kernel", "complex_exp", "--alpha", "1", "--beta", beta,
+                        "--T", "100", "--form", "square", "--x", "100"], capsys)
+    assert code == 0
+    (row,) = rows_of(out)
+    code, out, _ = run(["bound", "--a", "1/100", "--c", "1", "--x", "100"], capsys)
+    assert code == 0
+    real = beta == "0"
+    assert row["bound"] == (rows_of(out)[0]["bound"] if real else "")
+    assert (row["ratio"] != "") == real
 
 
 def test_x_grid_specs(capsys):
@@ -698,6 +726,34 @@ def test_exact_paths_stdout_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_STDOUT[command][1]
 
 
+_NUMBER_PATHS_STDOUT = {
+    "osc-sum --kernel p2 --form pentagonal --x-grid geom:250:9000:1":
+        "f44796b7556b4ce40f3987c38437da7a187e9204fc45f4996874004215554276",
+    "osc-sum --kernel exp_sqrt --c 1/3 --form square --T 2.5 --x 301/10":
+        "76d16f3f7b450fd18c125b7bfcbc381712ec54ae348e11a5348772668e2c044a",
+    "exponent-fit --kernel exp_sqrt --c 1/3 --form pentagonal --x-grid 150.5,300,600.25,1.2e3":
+        "27d9d0f13413f09d99cb15d8bc63e73be6f4591cf01b4e5b7ab011d44fa6c603",
+    "psi-sum --x 301/10 --T 5000/3 --method direct":
+        "4ca44b525b1cf54093266696a9b1383b85867b82e50d6d81fbd17e91dcd16815",
+    "psi-half --x 301/10 --T 5000/3":
+        "468188db3ae38d3b1e4c5e98da628d562bdfa137b3202bb6329ce0f72b680cbd",
+    "lemma-sum --x 301/10 --T 5000/3 --k 5":
+        "f6835e7f42ae4d2726600564cb30cbbf947de6152f46f421de17a2ee1ce9bc14",
+    "lemma-sum --x 301/10 --T 5000/3 --k 6":
+        "0e5048fdf966864123112a22ca0172f786124a78e0efa81ad710944842a15094",
+}
+
+
+@pytest.mark.parametrize("command", list(_NUMBER_PATHS_STDOUT))
+def test_number_paths_stdout_pinned(capsys, command):
+    # a one-point grid, decimal and a/b numbers, and the psi cutoffs and
+    # lemma sums at a/b x and T, by the sha256 of their stdout as first
+    # recorded: each exits 0 with every digit as it was
+    code, out, err = run(command.split(), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _NUMBER_PATHS_STDOUT[command]
+
+
 _HELP_STDOUT = {
     "": "f2fbdf4f410d70b71756a4fade27d4e19c54f11fd2e20c3f142fcfd3fa7cc426",
     "pnt-verify": "659e18aab7bab8d7c2285e2136c5e90aeb6cc17e22e489f07006dfcaf2efec30",
@@ -917,7 +973,7 @@ for _command, _flags in _FLAGS.items():
     if _command in _SIEVE:
         _flags.append("--sieve-cache")
 _SWITCHES = {"--inject-corruption"}
-_TOKENS = ["abc", "1/0", "-1", "0", "3/2", "1e30", "geom:1:2", "auto",
+_TOKENS = ["abc", "1/0", "-1", "0", "3/2", "1e30", "1e5000", "1e-5000", "geom:1:2", "auto",
            "json", "exp_sqrt", "square", "custom", "main2", "direct"]
 
 
