@@ -303,7 +303,7 @@ def cmd_contour_check(args) -> int:
 
 
 def cmd_exponent_fit(args) -> int:
-    samples = [(float(x), report.abs_value) for x, report in _sums(args, with_bound=False)]
+    samples = [(x, report.abs_value) for x, report in _sums(args, with_bound=False)]
     w_hat, intercept, rms = oscsum.empirical_exponent(samples)
     _emit([{"points": len(samples), "w_hat": repr(w_hat),
             "intercept": repr(intercept), "rms": repr(rms)}])

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, zip_longest
-from math import isqrt, lcm, sqrt
+from math import isfinite, isqrt, lcm, sqrt
 from typing import Callable, NamedTuple, Optional, Union
 
 from mpmath import mp, mpc, mpf
@@ -396,9 +396,11 @@ def empirical_exponent(samples) -> tuple[float, float, float]:
     """Least-squares fit log|S| = w_hat sqrt(x) + intercept over (x, |S|)
     samples; returns (w_hat, intercept, RMS residual).
 
-    The fit is solved exactly over the float samples (centred sums in
-    Fraction), so w_hat and intercept are correctly rounded and the RMS
-    residual is the square root of the correctly rounded mean square.
+    Each sqrt(x), taken from the exact x, and each log|S| is rounded to
+    a double; DomainError when a sqrt(x) is past the doubles.  The fit
+    is solved exactly over those doubles (centred sums in Fraction), so
+    w_hat and intercept are correctly rounded and the RMS residual is
+    the square root of the correctly rounded mean square.
     """
     pts = list(samples)
     if len(pts) < 3:
@@ -410,7 +412,10 @@ def empirical_exponent(samples) -> tuple[float, float, float]:
             av = abs_value if isinstance(abs_value, mpf) else to_mpf_exact(abs_value)
             if av <= 0:
                 raise DomainError("empirical_exponent needs abs_value > 0")
-            roots.append(float(mp.sqrt(to_mpf_exact(_to_fraction(x)))))
+            root = float(mp.sqrt(to_mpf_exact(_to_fraction(x))))
+            if not isfinite(root):
+                raise DomainError("empirical_exponent needs sqrt(x) within the doubles")
+            roots.append(root)
             logs.append(float(mp.log(av)))
     if max(roots) - min(roots) < 1e-12:
         raise DegenerateFitError("all sqrt(x) values coincide; slope is undetermined")

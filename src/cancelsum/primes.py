@@ -15,8 +15,10 @@ which defines the cutoff.
 psi_weak_pentagonal aggregates per prime power (bucket method: each n
 contributes Lambda(n) * (-1)^{J(n)} where J(n) is the largest j with
 n <= N_j) or per index j (direct method, one prefix count per j).
-Both produce an exact integer coefficient per prime, so their results
-agree bit for bit, which is what the oracle-equivalence gate checks.
+Both give each prime power inside cutoff 0 its sign (-1)^{J(n)} in one
+byte array and fold each higher power's sign onto its prime in place:
+an exact integer coefficient per prime, so their results agree bit for
+bit, which is what the oracle-equivalence gate checks.
 Precision enters only through the sums of log p, and each is one log
 per coefficient class or cutoff band, of an exact product folded at
 working precision (the grouped products of Bernstein, "Fast
@@ -49,10 +51,10 @@ from .oscsum import SumReport, square_form
 # Peak RSS of a psi run (CPython 3.11): psi-half peaks in the build, at
 # half a byte per integer (flags for the odd ones) plus 8 per prime
 # power (the index); psi-sum peaks after it, at the index plus 16 bytes
-# per prime for its two coefficient arrays and 2 per prime power for the
-# flags that fill them.  psi-half and psi-sum take 42 and 50 MB at x=280,
-# and 59 and 72 MB for the 2.05M prime powers at x=300 (either method);
-# by these rates about 0.12 and 0.17 GB at the cap.
+# per prime for its two coefficient arrays and 1 per prime power for the
+# signs that fill them.  psi-half and psi-sum take 41 and 48 MB at x=280,
+# and 57 and 69 MB for the 2.05M prime powers at x=300 (either method);
+# by these rates about 0.12 and 0.16 GB at the cap.
 MAX_SIEVE_LIMIT = 100_000_000
 PSI_METHODS = ("bucket", "direct")
 # Bits above the working precision that psi_interval_half sums psi at
@@ -290,47 +292,19 @@ class PrimeCoefficients(Mapping):
         return len(self.primes)
 
 
-def _pack(entries: array, n_inside: int, root: int, base: dict, coeffs) -> PrimeCoefficients:
-    """Sum the coefficients of entries[:n_inside] onto their primes;
-    coeffs(select) yields the coefficient of each entry that the flag
-    bytes `select` pick, in entry order.
-
-    Only primes <= root have several powers.  A first pass takes the
-    entries <= root and the powers above it (flags `several`) into a
-    small dict; its nonzero counts are written first, ascending.  Every
-    other entry (flags `single`) is a prime with one power, ascending
-    already, and a second pass appends its count.  One array grows at a
-    time and neither is copied: 16 bytes per prime, plus the two flag
-    bytes per entry while it runs."""
-    k0 = bisect_right(entries, root, 0, n_inside)
-    several, single = bytearray(n_inside), bytearray(b"\1") * n_inside
-    several[:k0], single[:k0] = b"\1" * k0, bytes(k0)
-    for pp in base:
-        i = bisect_left(entries, pp, k0, n_inside)
-        if pp > root and i < n_inside:
-            several[i], single[i] = 1, 0
-    small: dict[int, int] = {}  # in ascending order: each p comes before its powers
-    for pp, c in zip(compress(entries, several), coeffs(several)):
-        p = base.get(pp, pp)
-        small[p] = small.get(p, 0) + c
-    kept = [(p, c) for p, c in small.items() if c]
-    primes = array("Q", [p for p, _ in kept])
-    primes.extend(compress(entries, single))
-    counts = array("q", [c for _, c in kept])
-    counts.extend(coeffs(single))
-    return PrimeCoefficients(primes, counts)
-
-
 def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> PrimeCoefficients:
     """Exact integer coefficient per prime p in
     sum_{l^2 < xT} (-1)^l Psi(e^{sqrt(x - l^2/T)}) = sum_p coeff[p] log p,
     as a PrimeCoefficients map of the nonzero coefficients.
 
-    method="bucket" bisects the cutoffs once per prime power;
-    method="direct" walks the index j, counts a prefix per j, and gives
-    each cutoff band, the prime powers between consecutive prefix
-    counts, the running sum of the index weights.  Identical cutoffs,
-    independent coefficients per prime power, one shared sum per prime.
+    A prime power n inside cutoffs 0..J(n) and no further carries
+    sum_{|l| <= J(n)} (-1)^l = (-1)^{J(n)}, a sign.  method="bucket"
+    bisects the cutoffs once per prime power for J(n); method="direct"
+    walks the index j, counts a prefix per j, and gives each cutoff
+    band, the prime powers between consecutive prefix counts, the
+    running sum of the index weights.  Either way the signs of the prime
+    powers inside cutoff 0 fill one byte array in entry order, and each
+    higher power p^k, k >= 2, is then folded onto p's slot in place.
     """
     if method not in PSI_METHODS:
         raise DomainError("unknown method %r" % (method,))
@@ -342,10 +316,8 @@ def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> Pri
         # with pp <= N_j, and sign maps that to (-1)^j
         ascending = [-n for n in cut]
         sign = [0] + [1 if j % 2 == 0 else -1 for j in range(len(cut))]
-
-        def coeffs(select):
-            picked = map(neg, compress(entries, select))
-            return map(sign.__getitem__, map(bisect_right, repeat(ascending), picked))
+        signs = map(sign.__getitem__,
+                    map(bisect_right, repeat(ascending), map(neg, islice(entries, n_inside))))
     else:
         # band j, the prime powers inside cutoff j and outside j+1, takes
         # the sum of the index weights up to j; bands ascend as j descends
@@ -355,10 +327,16 @@ def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> Pri
             running += (1 if j % 2 == 0 else -1) * (1 if j == 0 else 2)
             bands.append((running, inside[j] - inside[j + 1]))
         bands.reverse()
-
-        def coeffs(select):
-            return compress(chain.from_iterable(starmap(repeat, bands)), select)
-    return _pack(entries, n_inside, isqrt(sieve.limit), sieve._base, coeffs)
+        signs = chain.from_iterable(starmap(repeat, bands))
+    coeff = array("b", signs)
+    # a prime's total is at most its number of powers up to the sieve
+    # limit, 26 (p = 2) within MAX_SIEVE_LIMIT, so a signed byte holds it
+    for pp, p in sieve._base.items():
+        i = bisect_left(entries, pp, 0, n_inside)
+        if i < n_inside:
+            coeff[bisect_left(entries, p)] += coeff[i]
+            coeff[i] = 0
+    return PrimeCoefficients(array("Q", compress(entries, coeff)), array("q", filter(None, coeff)))
 
 
 def coefficients_value(coeff, ctx: PrecisionContext) -> mpf:

@@ -166,10 +166,24 @@ def test_resource_error_exit_3(capsys):
     # the lemma bound's height u must be positive
     ["lemma-sum", "--x", "1", "--T", "4", "--k", "2", "--u", "0"],
     ["lemma-sum", "--x", "1", "--T", "4", "--k", "2", "--u", "-1"],
+    # the fit reads sqrt(x) as a double, and sqrt(1e700) is past them
+    ["exponent-fit", "--kernel", "power", "--form", "custom", "--a", "1e700",
+     "--x", "1e700", "--x", "3e700", "--x", "5e700"],
     pytest.param([], id="no subcommand"),
 ], ids=" ".join)
 def test_bad_input_one_error_line(argv):
     assert_one_error_line(run_process(["-m", "cancelsum.cli"] + argv), 2)
+
+
+def test_exponent_fit_past_double_x(capsys):
+    # x = 1e400 is past the doubles, but its sqrt is not: the fit reads
+    # each x exactly as the sums used it
+    code, out, err = run(["exponent-fit", "--kernel", "power", "--form", "custom",
+                          "--a", "1e400", "--x", "1e400", "--x", "3e400", "--x", "5e400"],
+                         capsys)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 1 and rows[0]["points"] == "3"
 
 
 @pytest.mark.parametrize("argv", [

@@ -358,10 +358,12 @@ def _coefficients_by_definition(x, T, limit):
 
 # x from below isqrt(600) = 24, where only primes that have several
 # powers occur, to e^sqrt(40) ~ 558; one l, few l and hundreds of l; at
-# x = 39.4 the last prime power inside, 529 = 23^2, is a higher power
+# x = 39.4 the last prime power inside, 529 = 23^2, is a higher power;
+# 529 lies just outside cutoff 0 at x = 39.31 (N_0 = 528) and is its
+# last prime power at x = 39.33 (N_0 = 529)
 ORACLE_CASES = [(5, 7), (Fraction(19, 2), 40), (20, Fraction(1000, 3)), (33, 17),
                 (Fraction(301, 10), 5000), (Fraction(197, 5), 100), (40, Fraction(1, 40)),
-                (40, 3000)]
+                (40, 3000), (Fraction(3931, 100), 1), (Fraction(3933, 100), 1)]
 
 
 @pytest.mark.parametrize("method", primes.PSI_METHODS)
