@@ -152,14 +152,18 @@ def _psi_inputs(args):
 
 def _sums(args, with_bound):
     """(x, report) for each x of the grid, the kernel and form built once;
-    with_bound attaches main1's bound, stated for real kernels, to each
-    report of a real kernel with growth."""
+    with_bound attaches main1's bound, stated for real kernels whose
+    terms cancel, to each report of a real kernel with growth, unless
+    the kernel's (-1)^y cancels the sum's own sign on this form
+    (KernelSpec.parity_sign)."""
     kernel = _KERNELS[args.kernel](args)
     q = _FORMS[args.form](args)
+    with_bound = (with_bound and kernel.real and kernel.growth
+                  and not (kernel.parity_sign and q.one_parity()))
     for x in args.x:
         ctx = _resolve_ctx(args.bits, x, kernel.growth)
         bound = None
-        if with_bound and kernel.real and kernel.growth:
+        if with_bound:
             bound = oscsum.bound_main1(q.a, kernel.growth, x, ctx)
         yield x, oscsum.alternating_sum(kernel, q, x, ctx, predicted_bound=bound)
 

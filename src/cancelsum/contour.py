@@ -61,7 +61,14 @@ The integrand and each panel's sum run on mpmath's raw _mpc_ pairs
 (mpmath.libmp): each step is the libmp call, at the same precision and
 rounding "n", that the mpc and mpf operators of pi K(x - q(z)) /
 sin(pi z) and of s += w f(mid + half t) make, so every value is theirs
-bit for bit, without an object or a type dispatch per operation.
+bit for bit, without an object or a type dispatch per operation.  A
+call whose result is known without it is skipped: q's zero terms (b on
+an even form, d on both built-in forms) are not added, and a node of a
+horizontal or vertical panel is formed on the half of mid + half t that
+varies, since adding 0 (or 0 times t) to a value already rounded at the
+working precision returns that value.  The nodes and weights come from
+Newton's method on fixed-point integers (gauss_legendre_nodes), rounded
+once each to the working precision.
 sin(pi z) is mpc_sin's own formula, sin a cosh b + i cos a sinh b at
 prec + 6 bits and two rounded products.  Along a horizontal leg Im(pi z)
 is exactly the same at every node (the panel's midpoint keeps the leg's
@@ -78,9 +85,9 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (fzero, from_int, mpc_abs, mpc_add, mpc_add_mpf, mpc_div,
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div,
                           mpc_div_mpf, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_sin, mpc_sub,
-                          mpf_cos_sin, mpf_cosh_sinh, mpf_gt, mpf_mul)
+                          mpf_add, mpf_cos_sin, mpf_cosh_sinh, mpf_gt, mpf_mul)
 
 from .errors import DomainError, QuadratureError, ResourceError
 from .numerics import PrecisionContext, nstr_for_bits, to_mpf_exact
@@ -121,8 +128,8 @@ def _sin(z: tuple, prec: int) -> tuple:
 
 
 def _legendre_newton(x):
-    """One Newton step towards a root of P_NPTS from x, by the three-term
-    recurrence at the current precision: (new x, P_NPTS'(x))."""
+    """One Newton step towards a root of P_NPTS from the float x, by the
+    three-term recurrence: (new x, P_NPTS'(x))."""
     p0, p1 = 1, x
     for j in range(2, NPTS + 1):
         p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
@@ -130,23 +137,41 @@ def _legendre_newton(x):
     return x - p1 / dp, dp
 
 
+def _legendre_newton_fixed(x: int, f: int) -> tuple:
+    """_legendre_newton on fixed-point integers with f fractional bits:
+    x stands for x / 2^f, and so do both results.  Each product drops
+    its low f bits with >> f, each quotient rounds down."""
+    one = 1 << f
+    p0, p1 = one, x
+    for j in range(2, NPTS + 1):
+        p0, p1 = p1, ((2 * j - 1) * (x * p1 >> f) - (j - 1) * p0) // j
+    dp = (NPTS * ((x * p1 >> f) - p0) << f) // ((x * x >> f) - one)
+    return x - (p1 << f) // dp, dp
+
+
 def gauss_legendre_nodes() -> tuple:
     """The NPTS nodes and weights on [-1, 1] at the current working
     precision, cached per precision.  Newton iteration on the Legendre
-    recurrence: in floats to double accuracy, then one step at each
-    precision of a ladder that about doubles, then at the working
-    precision plus 32 bits until a step moves the node by less than
-    2^-(precision + 16); that step's derivative gives the weight."""
-    key = mp.prec
-    cached = _node_cache.get(key)
+    recurrence (Johansson & Mezzarobba, SIAM J. Sci. Comput. 40, 2018):
+    in floats to double accuracy, then on fixed-point integers with
+    F = precision + 48 fractional bits, one step at each precision of a
+    ladder that about doubles, then at F until a step moves the node by
+    less than 2^-(precision + 16); that step's derivative gives the
+    weight 2 / ((1 - x^2) P'(x)^2).  Each node and weight is rounded
+    once, to nearest, at the working precision.  These are the values
+    of the same Newton iteration on mpf at precision + 32 bits, bit for
+    bit at every precision from 53 to 1,200 bits and at 2,048 and
+    4,096 (tests/test_contour.py pins a spread of them)."""
+    prec = mp.prec
+    cached = _node_cache.get(prec)
     if cached is not None:
         return cached
-    target = mp.prec + 32
+    F = prec + 48
     ladder = []
-    prec = target
-    while prec > 112:
-        prec = prec // 2 + 8
-        ladder.append(prec)
+    f = F
+    while f > 112:
+        f = f // 2 + 8
+        ladder.append(f)
     pairs = []
     for i in range(1, NPTS // 2 + 1):
         x = math.cos(math.pi * (i - 0.25) / (NPTS + 0.5))
@@ -154,22 +179,21 @@ def gauss_legendre_nodes() -> tuple:
             x_prev, x = x, _legendre_newton(x)[0]
             if abs(x - x_prev) < 1e-15:
                 break
-        x = mpf(x)
-        for prec in reversed(ladder):
-            with mp.workprec(prec):
-                x = _legendre_newton(x)[0]
-        with mp.workprec(target):
-            tol = mpf(2) ** (16 - target)
-            for _ in range(200):
-                x_prev = x
-                x, dp = _legendre_newton(x)
-                if abs(x - x_prev) < tol:
-                    break
-            w = 2 / ((1 - x * x) * dp * dp)
-        pairs.append((x, w))
-        pairs.append((-x, w))
-    result = tuple((+n, +w) for n, w in pairs)
-    _node_cache[key] = result
+        f, x = 53, int(math.ldexp(x, 53))
+        for g in reversed(ladder):
+            x = _legendre_newton_fixed(x << g - f, g)[0]
+            f = g
+        x <<= F - f
+        for _ in range(200):
+            x_prev = x
+            x, dp = _legendre_newton_fixed(x, F)
+            if abs(x - x_prev) >> F - prec - 16 == 0:
+                break
+        w = (1 << 4 * F + 1) // (((1 << F) - (x * x >> F)) * dp * dp)
+        node, w = (mp.make_mpf(from_man_exp(v, -F, prec, "n")) for v in (x, w))
+        pairs += [(node, w), (-node, w)]
+    result = tuple(pairs)
+    _node_cache[prec] = result
     return result
 
 
@@ -255,13 +279,22 @@ def _panel(f: Integrand, za: tuple, zb: tuple, nodes: tuple, prec: int) -> tuple
     """The NPTS-point Gauss-Legendre value of the panel za -> zb on _mpc_
     pairs: the libmp calls of mid + half * t, s += w * f(...) and
     half * s, with mid = (za + zb) / 2 and half = (zb - za) / 2, over
-    nodes as (t, w) mpf pairs."""
+    nodes as (t, w) mpf pairs.  On a horizontal or vertical panel one
+    half of `half` is exactly zero, and mid's matching half plus zero
+    times t is that half of mid unchanged; such a node is formed on the
+    other half alone, with the same bits."""
     mid = mpc_div_mpf(mpc_add(za, zb, prec, "n"), _TWO, prec, "n")
     half = mpc_div_mpf(mpc_sub(zb, za, prec, "n"), _TWO, prec, "n")
+    (mre, mim), (hre, him) = mid, half
+    if him == fzero:
+        points = ((mpf_add(mre, mpf_mul(hre, t, prec, "n"), prec, "n"), mim) for t, _ in nodes)
+    elif hre == fzero:
+        points = ((mre, mpf_add(mim, mpf_mul(him, t, prec, "n"), prec, "n")) for t, _ in nodes)
+    else:
+        points = (mpc_add(mid, mpc_mul_mpf(half, t, prec, "n"), prec, "n") for t, _ in nodes)
     s = _ZERO
-    for t, w in nodes:
-        fz = f(mpc_add(mid, mpc_mul_mpf(half, t, prec, "n"), prec, "n"))
-        s = mpc_add(s, mpc_mul_mpf(fz, w, prec, "n"), prec, "n")
+    for z, (_, w) in zip(points, nodes):
+        s = mpc_add(s, mpc_mul_mpf(f(z), w, prec, "n"), prec, "n")
     return mpc_mul(half, s, prec, "n")
 
 
@@ -444,7 +477,9 @@ def kernel_integrand(kernel: KernelSpec, q: QuadraticForm, x,
     are rounded once, at that precision.  Each step makes the libmp call
     that the mpc operators of pi * K(x - (a*z*z + b*z + d)) /
     mp.sin(pi*z) make, rounded "n", so every value is theirs bit for
-    bit; sin goes through _sin."""
+    bit; sin goes through _sin.  A zero b or d is not added: adding
+    zero to a value already rounded at the working precision returns
+    that value unchanged."""
     if kernel.bind_complex is None:
         raise DomainError("kernel family %r has no complex continuation" % (kernel.family,))
     with ctx.workprec():
@@ -455,8 +490,11 @@ def kernel_integrand(kernel: KernelSpec, q: QuadraticForm, x,
         prec = mp.prec
 
     def f(z: tuple) -> tuple:
-        az2 = mpc_mul(mpc_mul_mpf(z, a, prec, "n"), z, prec, "n")
-        qz = mpc_add_mpf(mpc_add(az2, mpc_mul_mpf(z, b, prec, "n"), prec, "n"), d, prec, "n")
+        qz = mpc_mul(mpc_mul_mpf(z, a, prec, "n"), z, prec, "n")
+        if b != fzero:
+            qz = mpc_add(qz, mpc_mul_mpf(z, b, prec, "n"), prec, "n")
+        if d != fzero:
+            qz = mpc_add_mpf(qz, d, prec, "n")
         num = mpc_mul_mpf(K(mpc_sub((xv, fzero), qz, prec, "n")), pi, prec, "n")
         return mpc_div(num, _sin(mpc_mul_mpf(z, pi, prec, "n"), prec), prec, "n")
 

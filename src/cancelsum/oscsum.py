@@ -75,6 +75,14 @@ class QuadraticForm(NamedTuple("QuadraticForm",
             (-to_mpf_exact(self.b) + s) / (2 * to_mpf_exact(self.a)),
         )
 
+    def one_parity(self) -> bool:
+        """Whether n + q(n) is an integer of one parity at every integer n.
+        Checked at n = 0..3: integers at 0, 1 and 2 make q integer-valued,
+        and the parity of an integer-valued quadratic repeats with
+        period 4."""
+        values = [n + self.evaluate(n) for n in range(4)]
+        return all(v.denominator == 1 for v in values) and len({v % 2 for v in values}) == 1
+
     def cleared(self, x) -> tuple[int, int, int, int]:
         """(scale, A, B, C) with scale (q(n) - x) = A n^2 + B n + C, all integers."""
         xf = _to_fraction(x)
@@ -145,6 +153,11 @@ class KernelSpec(NamedTuple):
     values are theirs bit for bit.  bind_complex is None when the
     family has no complex continuation wired up.  A Rademacher kernel's
     bind_real is its binder in partition.RADEMACHER.
+
+    `parity_sign` says whether the kernel carries the factor (-1)^y.  On
+    a form where n + q(n) has one parity (QuadraticForm.one_parity) that
+    factor cancels the sum's own sign (-1)^n, so the terms add with no
+    cancellation and main1's bound does not apply.
     """
 
     family: str
@@ -152,6 +165,7 @@ class KernelSpec(NamedTuple):
     real: bool
     bind_real: Callable[[PrecisionContext], Callable]
     bind_complex: Optional[Callable[[PrecisionContext], Callable]] = None
+    parity_sign: bool = False
 
 
 def _exp_sqrt_family(family: str, growth, real: bool, exponent) -> KernelSpec:
@@ -188,7 +202,8 @@ def rademacher_kernel(name: str) -> KernelSpec:
     if name not in partition.RADEMACHER:
         raise DomainError("unknown rademacher kernel %r" % (name,))
     bind_real, growth = partition.RADEMACHER[name]
-    return KernelSpec("rademacher", growth, True, bind_real)
+    return KernelSpec("rademacher", growth, True, bind_real,
+                      parity_sign=name in partition.PARITY_SIGNED)
 
 
 def power_kernel(k_half) -> KernelSpec:

@@ -220,3 +220,5 @@ RADEMACHER = {
     "p4": (lambda ctx: _bind_pairs(ctx, _P2, _P3), growth_p1),  # p2 + p3
     "sqrt_p1": (bind_sqrt_p1, growth_p3),
 }
+# The Rademacher kernels that carry the sign (-1)^x, through _P3.
+PARITY_SIGNED = ("p3", "p4")

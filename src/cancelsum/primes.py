@@ -42,7 +42,7 @@ from operator import eq, neg
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fone, from_rational, mpf_exp, mpf_log, mpf_mul_int, mpf_sqrt, to_int
+from mpmath.libmp import from_man_exp, from_rational, mpf_exp, mpf_log, mpf_sqrt, to_int
 
 from .errors import DomainError, ResourceError
 from .numerics import PrecisionContext, nstr_for_bits, to_fraction_exact, to_mpf_exact
@@ -66,25 +66,32 @@ HALF_HEADROOM_BITS = 24
 def _log_products(factors, marks, prec: int) -> list:
     """[log(prod(factors[:k])) for k in marks] at binary precision `prec`,
     for ascending `marks`.  Factors multiply as exact integers; once a
-    chunk reaches 2^prec it is folded into one raw product with a single
-    rounding, and each mark takes one log.  The folds and logs are the
-    mpmath.libmp calls, rounded "n", that the mpf operators product *=
-    chunk and mp.log(product * chunk) make, so every bit is theirs.  The
-    bits of each value depend only on factors[:k], never on the other
-    marks."""
+    chunk reaches 2^prec it is folded into the product, man * 2^e, and
+    man * chunk is rounded half to even to prec bits inline, bit for bit
+    the value of mpf_mul_int(product, chunk, prec, "n").  Each mark
+    takes one log of product * chunk through mpmath.libmp, rounded "n",
+    so every bit is that of the mpf operators product *= chunk and
+    mp.log(product * chunk).  The bits of each value depend only on
+    factors[:k], never on the other marks."""
     logs = []
     factors = iter(factors)
     done = 0
     top = 1 << prec
-    product, chunk = fone, 1
+    man, e, chunk = 1, 0, 1
     for k in marks:
         for f in islice(factors, k - done):
             chunk *= f
             if chunk >= top:
-                product = mpf_mul_int(product, chunk, prec, "n")
+                m = man * chunk
+                drop = m.bit_length() - prec
+                kept = m >> drop - 1  # the kept bits, then the first dropped one
+                man = kept >> 1
+                if kept & 1 and (man & 1 or m & (1 << drop - 1) - 1):
+                    man += 1
+                e += drop
                 chunk = 1
         done = k
-        logs.append(mp.make_mpf(mpf_log(mpf_mul_int(product, chunk, prec, "n"), prec, "n")))
+        logs.append(mp.make_mpf(mpf_log(from_man_exp(man * chunk, e, prec, "n"), prec, "n")))
     return logs
 
 

@@ -402,6 +402,23 @@ def test_osc_sum_bound_for_real_kernels_only(beta, capsys):
     assert (row["ratio"] != "") == real
 
 
+@pytest.mark.parametrize("kernel", ["p3", "p4"])
+@pytest.mark.parametrize("form,bounded", [("square", False), ("pentagonal", True)])
+def test_osc_sum_bound_empty_where_the_kernel_sign_cancels(kernel, form, bounded, capsys):
+    # p3 and p4 carry (-1)^y.  On the square form y = x - l^2, so
+    # (-1)^y = (-1)^x (-1)^l cancels the sum's own sign and the terms
+    # never cancel: main1's bound does not apply there, and bound and
+    # ratio are empty.  On the pentagonal form n + q(n) takes both
+    # parities and the columns stay.
+    code, out, _ = run(["osc-sum", "--kernel", kernel, "--form", form,
+                        "--x-grid", "geom:100:10000:5"], capsys)
+    assert code == 0
+    rows = rows_of(out)
+    assert len(rows) == 5
+    for row in rows:
+        assert (row["bound"] != "", row["ratio"] != "") == (bounded, bounded)
+
+
 def test_x_grid_specs(capsys):
     code, out, _ = run(["osc-sum", "--x-grid", "geom:100:1000:3",
                         "--kernel", "p2"], capsys)
@@ -663,9 +680,9 @@ _OSC_HEADER = "x,re,im,abs,terms,bound,ratio,bits"
     ]),
     ("p4", "square", [
         "24,10.7060088910952427158128017244309932785349,0.0,10.7060088910952427158128017244309932785349,"
-        "9,84.0824763161316144392144406852536059007993,0.127327468934704115980431711776290362026744,128",
+        "9,,,128",
         "101,-2718.3355078518598629412232907285547777743183,0.0,2718.3355078518598629412232907285547777743183,"
-        "21,3426.4654849204858161844008123742287319083170,0.79333514953381801242589524123924902994055503,134",
+        "21,,,134",
     ]),
 ], ids=["p1-pentagonal", "p2-pentagonal", "p3-pentagonal", "p4-pentagonal", "sqrt_p1-pentagonal", "p4-square"])
 def test_osc_sum_stdout_pinned(capsys, kernel, form, rows):

@@ -13,7 +13,7 @@ from cancelsum import (DomainError, QuadraticForm, QuadratureError,
                        power_kernel, residue_identity_check, square_form,
                        to_mpf_exact)
 from cancelsum.contour import (MAX_INITIAL_PANELS, _cos_sin, _cosh_sinh, _initial_panels,
-                               _node_cache, _sin)
+                               _node_cache, _panel, _sin)
 from cancelsum.partition import growth_p1
 
 
@@ -67,9 +67,12 @@ def _nodes_by_plain_newton(npts):
     return tuple((+n, +w) for n, w in pairs)
 
 
-@pytest.mark.parametrize("prec", [160, 352])
+@pytest.mark.parametrize("prec", [53, 54, 63, 64, 65, 85, 96, 112, 113, 128, 144, 160, 192,
+                                  200, 224, 256, 288, 320, 352, 384, 448, 512, 640, 768,
+                                  1000, 1024, 1200, 1536, 2048, 4096])
 def test_gauss_legendre_ladder_matches_plain_newton(prec):
-    # the float start and precision ladder change the cost, not one bit
+    # the float start, the precision ladder and the fixed-point integers
+    # change the cost, not one bit
     with mp.workprec(prec):
         _node_cache.pop(prec, None)
         assert gauss_legendre_nodes() == _nodes_by_plain_newton(32)
@@ -102,26 +105,38 @@ def _exp_of_sqrt(s):
     (exp_sqrt_kernel(growth_p1), pentagonal_form(), 50, lambda: _exp_of_sqrt(growth_p1())),
     (complex_exp_kernel(1, 10, 100), square_form(100), 100, lambda: _exp_of_sqrt(mpc(1, 10))),
     (power_kernel(3), square_form(1), 30, lambda: lambda w: mpc(w) ** mpf(3)),
-], ids=["exp_sqrt", "complex_exp", "power"])
+    (exp_sqrt_kernel(1), square_form(1), 50, lambda: _exp_of_sqrt(1)),
+    (exp_sqrt_kernel(1), QuadraticForm(2, Fraction(-7, 3), Fraction(1, 7)), 50,
+     lambda: _exp_of_sqrt(1)),
+], ids=["exp_sqrt", "complex_exp", "power", "exp_sqrt-square-T1", "exp_sqrt-custom-b-d"])
 def test_pair_integrand_is_the_object_formula(ctx320, kernel, q, x, object_kernel):
     # at every node of a horizontal panel, of a vertical panel above the
-    # axis and of one across it, the pair integrand's bits are those of
-    # the mpc formula it stands for
+    # axis, of one across it and of a slanted one, the pair integrand's
+    # bits are those of the mpc formula it stands for, with q's zero
+    # terms (b, d) skipped or not; so are the panel sum's bits, on the
+    # fixed-half nodes of the axis-parallel panels and the general ones
+    # of the slanted panel
     f = kernel_integrand(kernel, q, x, ctx320)
     c = build_contour(q, x, 1, ctx320)
     with ctx320.workprec():
         K, pi, xv = object_kernel(), +mp.pi, to_mpf_exact(x)
         a, b, d = (to_mpf_exact(v) for v in (q.a, q.b, q.d))
+        nodes = gauss_legendre_nodes()
+        raw_nodes = tuple((t._mpf_, w._mpf_) for t, w in nodes)
         xr, h = c.x_right, c.height_u
         panels = ((mpc(xr, h), mpc(xr - 8, h)),
                   (mpc(xr, h / 4), mpc(xr, h)),
-                  (mpc(xr, -h / 2), mpc(xr, h / 2)))
+                  (mpc(xr, -h / 2), mpc(xr, h / 2)),
+                  (mpc(xr - 1, h / 4), mpc(xr, h)))
         for za, zb in panels:
             mid, half = (za + zb) / 2, (zb - za) / 2
-            for t, _ in gauss_legendre_nodes():
+            s = mpc(0)
+            for t, w in nodes:
                 z = mid + half * t
                 want = pi * K(xv - (a * z * z + b * z + d)) / mp.sin(pi * z)
                 assert f(z._mpc_) == want._mpc_
+                s += want * w
+            assert _panel(f, za._mpc_, zb._mpc_, raw_nodes, mp.prec) == (half * s)._mpc_
 
 
 def test_cached_sin_half_is_mpc_sin():

@@ -79,6 +79,25 @@ def test_index_range_matches_enumeration(a, b, d, x, on_point):
         assert type(y) is (int if y.denominator == 1 else Fraction)
 
 
+@pytest.mark.parametrize("q,one", [
+    (pentagonal_form(), False),
+    (square_form(1), True),
+    (square_form(2), False),
+    (square_form(Fraction(1, 2)), False),
+    (QuadraticForm(1, 0, 1), True),
+    (QuadraticForm(2, 1, 0), True),
+    (QuadraticForm(Fraction(1, 2), Fraction(-3, 2)), False),  # n + q(n) is 0, 0, 1, 3
+    (QuadraticForm(Fraction(3, 2), Fraction(3, 2)), False),
+], ids=["pentagonal", "square-T1", "square-T2", "square-T-half", "n2+1", "2n2+n",
+        "n-choose-2-minus-n", "three-triangular"])
+def test_one_parity_against_enumeration(q, one):
+    # n = 0..3 decides it; the enumeration over a long range agrees
+    values = [n + q.evaluate(n) for n in range(-40, 41)]
+    assert q.one_parity() == one
+    assert one == (all(v.denominator == 1 for v in values)
+                   and len({v % 2 for v in values}) == 1)
+
+
 def test_form_validation():
     with pytest.raises(DomainError):
         QuadraticForm(Fraction(0), Fraction(1), Fraction(0))
@@ -295,6 +314,15 @@ def test_p2_pentagonal_exponent(ctx320):
     with ctx320.workprec():
         expo = mp.log(abs(rep.value)) / mp.log(to_mpf_exact(partition_exact(x)))
         assert float(expo) <= 0.12
+
+
+def test_parity_sign_kernels():
+    # the Rademacher kernels through the pair carrying (-1)^x, and no other
+    signed = [k for k in ("p1", "p2", "p3", "p4", "sqrt_p1")
+              if rademacher_kernel(k).parity_sign]
+    assert signed == ["p3", "p4"]
+    assert not (exp_sqrt_kernel(1).parity_sign or power_kernel(3).parity_sign
+                or complex_exp_kernel(1, 10, 100).parity_sign)
 
 
 def test_kernel_real_on_positive_reals():

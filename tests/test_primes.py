@@ -12,6 +12,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import fone, mpf_log, mpf_mul_int
 
 from cancelsum import (DomainError, LambdaSieve, PrecisionContext,
                        PrimeCoefficients, ResourceError, build_sieve, coefficients_value,
@@ -117,6 +118,46 @@ def test_log_products_match_operators(sieve100k, prec):
     want = _log_products_by_operators(factors, marks, prec)
     assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
     assert all(type(v) is mpf for v in got)
+
+
+def _log_products_by_mpf_mul_int(factors, marks, prec):
+    # the raw loop the inline folds replaced: each fold through mpf_mul_int
+    logs = []
+    factors = iter(factors)
+    done = 0
+    product, chunk = fone, 1
+    for k in marks:
+        for f in islice(factors, k - done):
+            chunk *= f
+            if chunk >= 1 << prec:
+                product = mpf_mul_int(product, chunk, prec, "n")
+                chunk = 1
+        done = k
+        logs.append(mp.make_mpf(mpf_log(mpf_mul_int(product, chunk, prec, "n"), prec, "n")))
+    return logs
+
+
+@pytest.mark.parametrize("prec", [8, 16, 53, 64, 65, 128, 333, 1000])
+def test_log_products_round_like_mpf_mul_int(prec):
+    # factors whose folds round exactly half-way, down to an even
+    # mantissa and up to one, and carry into 2^prec, against the
+    # mpf_mul_int loop, with marks at every prefix.  A fold that rounds
+    # one unit off moves the log of a product near 2^prec by about
+    # 1/(prec log 2) of its last bit, so a wrong tie rule shows in some
+    # of the 64 ties of each kind, certainly at 8 and 16 bits
+    top = 1 << prec
+    cases = [
+        *([top + 2 * k + 1] for k in range(64)),  # ties, both ways
+        *([top, top + 2 * k + 1] for k in range(64)),  # on the second fold, the first exact
+        [2 * top - 1],  # rounds up and carries to 2^prec
+        [2 * top - 1, top + 3, 2 * top - 1, 3, 5, top - 1, 7],
+        [3, 5, 7, 11, top // 3 + 1, 2 * top - 3, 13, top + 5, 2, 2, top + 1],
+    ]
+    for factors in cases:
+        marks = list(range(len(factors) + 1))
+        got = primes._log_products(factors, marks, prec)
+        want = _log_products_by_mpf_mul_int(factors, marks, prec)
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
 
 def test_sieve_limit_validation():
