@@ -154,12 +154,12 @@ def _sums(args, with_bound):
     """(x, report) for each x of the grid, the kernel and form built once;
     with_bound attaches main1's bound, stated for real kernels whose
     terms cancel, to each report of a real kernel with growth, unless
-    the kernel's (-1)^y cancels the sum's own sign on this form
-    (KernelSpec.parity_sign)."""
+    the kernel carries (-1)^y (partition.PARITY_SIGNED), which cancels
+    the sum's own sign on a form where n + q(n) has one parity."""
     kernel = _KERNELS[args.kernel](args)
     q = _FORMS[args.form](args)
     with_bound = (with_bound and kernel.real and kernel.growth
-                  and not (kernel.parity_sign and q.one_parity()))
+                  and not (args.kernel in partition.PARITY_SIGNED and q.one_parity()))
     for x in args.x:
         ctx = _resolve_ctx(args.bits, x, kernel.growth)
         bound = None

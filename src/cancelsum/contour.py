@@ -127,20 +127,11 @@ def _sin(z: tuple, prec: int) -> tuple:
     return mpf_mul(s, ch, prec, "n"), mpf_mul(c, sh, prec, "n")
 
 
-def _legendre_newton(x):
-    """One Newton step towards a root of P_NPTS from the float x, by the
-    three-term recurrence: (new x, P_NPTS'(x))."""
-    p0, p1 = 1, x
-    for j in range(2, NPTS + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    dp = NPTS * (x * p1 - p0) / (x * x - 1)
-    return x - p1 / dp, dp
-
-
 def _legendre_newton_fixed(x: int, f: int) -> tuple:
-    """_legendre_newton on fixed-point integers with f fractional bits:
-    x stands for x / 2^f, and so do both results.  Each product drops
-    its low f bits with >> f, each quotient rounds down."""
+    """One Newton step towards a root of P_NPTS from x, by the three-term
+    recurrence on fixed-point integers with f fractional bits: x stands
+    for x / 2^f, and so do both results, (new x, P_NPTS'(x)).  Each
+    product drops its low f bits with >> f, each quotient rounds down."""
     one = 1 << f
     p0, p1 = one, x
     for j in range(2, NPTS + 1):
@@ -149,46 +140,47 @@ def _legendre_newton_fixed(x: int, f: int) -> tuple:
     return x - (p1 << f) // dp, dp
 
 
+def _legendre_root(x: int, f: int) -> tuple:
+    """Newton steps at f fractional bits from x until one moves x by
+    less than 2^(32 - f): (x, P_NPTS' at the step's start)."""
+    for _ in range(200):
+        x_prev = x
+        x, dp = _legendre_newton_fixed(x, f)
+        if abs(x - x_prev) >> 32 == 0:
+            break
+    return x, dp
+
+
 def gauss_legendre_nodes() -> tuple:
     """The NPTS nodes and weights on [-1, 1] at the current working
     precision, cached per precision.  Newton iteration on the Legendre
-    recurrence (Johansson & Mezzarobba, SIAM J. Sci. Comput. 40, 2018):
-    in floats to double accuracy, then on fixed-point integers with
-    F = precision + 48 fractional bits, one step at each precision of a
-    ladder that about doubles, then at F until a step moves the node by
-    less than 2^-(precision + 16); that step's derivative gives the
-    weight 2 / ((1 - x^2) P'(x)^2).  Each node and weight is rounded
-    once, to nearest, at the working precision.  These are the values
-    of the same Newton iteration on mpf at precision + 32 bits, bit for
-    bit at every precision from 53 to 1,200 bits and at 2,048 and
-    4,096 (tests/test_contour.py pins a spread of them)."""
+    recurrence (Johansson & Mezzarobba, SIAM J. Sci. Comput. 40, 2018)
+    on fixed-point integers, up a ladder of precisions that about
+    doubles to F = precision + 48 fractional bits: from the cosine
+    guess at the bottom rung until a step moves the node by less than
+    2^(32 - rung), one step at each rung above, then at F until a step
+    moves it by less than 2^-(precision + 16); that step's derivative
+    gives the weight 2 / ((1 - x^2) P'(x)^2).  Each node and weight is
+    rounded once, to nearest, at the working precision.  These are the
+    values of the same Newton iteration on mpf at precision + 32 bits,
+    bit for bit at every precision from 53 to 1,200 bits and at 2,048
+    and 4,096 (tests/test_contour.py pins a spread of them)."""
     prec = mp.prec
     cached = _node_cache.get(prec)
     if cached is not None:
         return cached
     F = prec + 48
-    ladder = []
-    f = F
-    while f > 112:
-        f = f // 2 + 8
-        ladder.append(f)
+    rungs = [F]
+    while rungs[0] > 112:
+        rungs.insert(0, rungs[0] // 2 + 8)
     pairs = []
     for i in range(1, NPTS // 2 + 1):
-        x = math.cos(math.pi * (i - 0.25) / (NPTS + 0.5))
-        for _ in range(8):
-            x_prev, x = x, _legendre_newton(x)[0]
-            if abs(x - x_prev) < 1e-15:
-                break
-        f, x = 53, int(math.ldexp(x, 53))
-        for g in reversed(ladder):
+        f = rungs[0]
+        x = _legendre_root(int(math.ldexp(math.cos(math.pi * (i - 0.25) / (NPTS + 0.5)), f)), f)[0]
+        for g in rungs[1:-1]:
             x = _legendre_newton_fixed(x << g - f, g)[0]
             f = g
-        x <<= F - f
-        for _ in range(200):
-            x_prev = x
-            x, dp = _legendre_newton_fixed(x, F)
-            if abs(x - x_prev) >> F - prec - 16 == 0:
-                break
+        x, dp = _legendre_root(x << F - f, F)
         w = (1 << 4 * F + 1) // (((1 << F) - (x * x >> F)) * dp * dp)
         node, w = (mp.make_mpf(from_man_exp(v, -F, prec, "n")) for v in (x, w))
         pairs += [(node, w), (-node, w)]
@@ -279,21 +271,17 @@ def _panel(f: Integrand, za: tuple, zb: tuple, nodes: tuple, prec: int) -> tuple
     """The NPTS-point Gauss-Legendre value of the panel za -> zb on _mpc_
     pairs: the libmp calls of mid + half * t, s += w * f(...) and
     half * s, with mid = (za + zb) / 2 and half = (zb - za) / 2, over
-    nodes as (t, w) mpf pairs.  On a horizontal or vertical panel one
-    half of `half` is exactly zero, and mid's matching half plus zero
-    times t is that half of mid unchanged; such a node is formed on the
-    other half alone, with the same bits."""
+    nodes as (t, w) mpf pairs.  mid + half * t is formed one half at a
+    time, as mpc_add and mpc_mul_mpf do; a half of `half` that is
+    exactly zero leaves mid's matching half unchanged, so that half
+    (the fixed one on a horizontal or vertical panel) is not computed."""
     mid = mpc_div_mpf(mpc_add(za, zb, prec, "n"), _TWO, prec, "n")
     half = mpc_div_mpf(mpc_sub(zb, za, prec, "n"), _TWO, prec, "n")
     (mre, mim), (hre, him) = mid, half
-    if him == fzero:
-        points = ((mpf_add(mre, mpf_mul(hre, t, prec, "n"), prec, "n"), mim) for t, _ in nodes)
-    elif hre == fzero:
-        points = ((mre, mpf_add(mim, mpf_mul(him, t, prec, "n"), prec, "n")) for t, _ in nodes)
-    else:
-        points = (mpc_add(mid, mpc_mul_mpf(half, t, prec, "n"), prec, "n") for t, _ in nodes)
     s = _ZERO
-    for z, (_, w) in zip(points, nodes):
+    for t, w in nodes:
+        z = (mre if hre == fzero else mpf_add(mre, mpf_mul(hre, t, prec, "n"), prec, "n"),
+             mim if him == fzero else mpf_add(mim, mpf_mul(him, t, prec, "n"), prec, "n"))
         s = mpc_add(s, mpc_mul_mpf(f(z), w, prec, "n"), prec, "n")
     return mpc_mul(half, s, prec, "n")
 

@@ -153,11 +153,6 @@ class KernelSpec(NamedTuple):
     values are theirs bit for bit.  bind_complex is None when the
     family has no complex continuation wired up.  A Rademacher kernel's
     bind_real is its binder in partition.RADEMACHER.
-
-    `parity_sign` says whether the kernel carries the factor (-1)^y.  On
-    a form where n + q(n) has one parity (QuadraticForm.one_parity) that
-    factor cancels the sum's own sign (-1)^n, so the terms add with no
-    cancellation and main1's bound does not apply.
     """
 
     family: str
@@ -165,7 +160,6 @@ class KernelSpec(NamedTuple):
     real: bool
     bind_real: Callable[[PrecisionContext], Callable]
     bind_complex: Optional[Callable[[PrecisionContext], Callable]] = None
-    parity_sign: bool = False
 
 
 def _exp_sqrt_family(family: str, growth, real: bool, exponent) -> KernelSpec:
@@ -202,8 +196,7 @@ def rademacher_kernel(name: str) -> KernelSpec:
     if name not in partition.RADEMACHER:
         raise DomainError("unknown rademacher kernel %r" % (name,))
     bind_real, growth = partition.RADEMACHER[name]
-    return KernelSpec("rademacher", growth, True, bind_real,
-                      parity_sign=name in partition.PARITY_SIGNED)
+    return KernelSpec("rademacher", growth, True, bind_real)
 
 
 def power_kernel(k_half) -> KernelSpec:

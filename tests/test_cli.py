@@ -402,14 +402,16 @@ def test_osc_sum_bound_for_real_kernels_only(beta, capsys):
     assert (row["ratio"] != "") == real
 
 
-@pytest.mark.parametrize("kernel", ["p3", "p4"])
-@pytest.mark.parametrize("form,bounded", [("square", False), ("pentagonal", True)])
-def test_osc_sum_bound_empty_where_the_kernel_sign_cancels(kernel, form, bounded, capsys):
+@pytest.mark.parametrize("kernel", ["p1", "p2", "p3", "p4", "sqrt_p1"])
+@pytest.mark.parametrize("form", ["square", "pentagonal"])
+def test_osc_sum_bound_empty_where_the_kernel_sign_cancels(kernel, form, capsys):
     # p3 and p4 carry (-1)^y.  On the square form y = x - l^2, so
     # (-1)^y = (-1)^x (-1)^l cancels the sum's own sign and the terms
     # never cancel: main1's bound does not apply there, and bound and
     # ratio are empty.  On the pentagonal form n + q(n) takes both
-    # parities and the columns stay.
+    # parities and the columns stay; so do they for the other kernels,
+    # which carry no such sign, on either form.
+    bounded = form == "pentagonal" or kernel not in ("p3", "p4")
     code, out, _ = run(["osc-sum", "--kernel", kernel, "--form", form,
                         "--x-grid", "geom:100:10000:5"], capsys)
     assert code == 0

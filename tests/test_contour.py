@@ -71,8 +71,8 @@ def _nodes_by_plain_newton(npts):
                                   200, 224, 256, 288, 320, 352, 384, 448, 512, 640, 768,
                                   1000, 1024, 1200, 1536, 2048, 4096])
 def test_gauss_legendre_ladder_matches_plain_newton(prec):
-    # the float start, the precision ladder and the fixed-point integers
-    # change the cost, not one bit
+    # the precision ladder and the fixed-point integers change the cost,
+    # not one bit
     with mp.workprec(prec):
         _node_cache.pop(prec, None)
         assert gauss_legendre_nodes() == _nodes_by_plain_newton(32)
@@ -113,9 +113,8 @@ def test_pair_integrand_is_the_object_formula(ctx320, kernel, q, x, object_kerne
     # at every node of a horizontal panel, of a vertical panel above the
     # axis, of one across it and of a slanted one, the pair integrand's
     # bits are those of the mpc formula it stands for, with q's zero
-    # terms (b, d) skipped or not; so are the panel sum's bits, on the
-    # fixed-half nodes of the axis-parallel panels and the general ones
-    # of the slanted panel
+    # terms (b, d) skipped or not; so are the panel sum's bits, whose
+    # nodes keep the fixed half of an axis-parallel panel as it is
     f = kernel_integrand(kernel, q, x, ctx320)
     c = build_contour(q, x, 1, ctx320)
     with ctx320.workprec():

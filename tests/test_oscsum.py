@@ -316,15 +316,6 @@ def test_p2_pentagonal_exponent(ctx320):
         assert float(expo) <= 0.12
 
 
-def test_parity_sign_kernels():
-    # the Rademacher kernels through the pair carrying (-1)^x, and no other
-    signed = [k for k in ("p1", "p2", "p3", "p4", "sqrt_p1")
-              if rademacher_kernel(k).parity_sign]
-    assert signed == ["p3", "p4"]
-    assert not (exp_sqrt_kernel(1).parity_sign or power_kernel(3).parity_sign
-                or complex_exp_kernel(1, 10, 100).parity_sign)
-
-
 def test_kernel_real_on_positive_reals():
     assert exp_sqrt_kernel(1).real and power_kernel(3).real
     assert complex_exp_kernel(1, 0, 100).real
