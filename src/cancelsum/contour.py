@@ -365,7 +365,8 @@ def integrate_rectangle(f: Integrand, contour: RectContour,
     """Counterclockwise sum of the four leg integrals (bottom, right, top,
     left); pole clearance is prechecked in closed form: |sin(pi z)| on a
     vertical leg at abscissa X is >= |sin(pi X)|, on a horizontal leg at
-    height Y is >= sinh(pi |Y|).
+    height Y is >= sinh(pi |Y|) >= sinh(pi/4), since RectContour keeps
+    |Y| >= 0.25.
 
     Only the legs the integrand's symmetries do not fix are integrated:
     - real, f(conj z) = conj f(z): the upper halves U of the vertical
@@ -389,8 +390,6 @@ def integrate_rectangle(f: Integrand, contour: RectContour,
                 raise QuadratureError(
                     "vertical leg at %s passes within the pole clearance"
                     % mp.nstr(X, 12))
-        if mp.sinh(mp.pi * contour.height_u) < MIN_SIN_CLEARANCE:
-            raise QuadratureError("horizontal legs too close to the pole line")
         xl, xr, h = contour.x_left, contour.x_right, contour.height_u
         bottom, right, top, left = contour.legs()
         if real and odd:

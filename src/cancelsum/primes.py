@@ -18,7 +18,9 @@ n <= N_j) or per index j (direct method, one prefix count per j).
 Both give each prime power inside cutoff 0 its sign (-1)^{J(n)} in one
 byte array and fold each higher power's sign onto its prime in place:
 an exact integer coefficient per prime, so their results agree bit for
-bit, which is what the oracle-equivalence gate checks.
+bit, which is what the oracle-equivalence gate checks.  The coefficients
+travel as two parallel arrays, the ascending primes whose coefficient is
+nonzero and those coefficients.
 Precision enters only through the sums of log p, and each is one log
 per coefficient class or cutoff band, of an exact product folded at
 working precision (the grouped products of Bernstein, "Fast
@@ -34,7 +36,6 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat, starmap
 from math import exp, isqrt, sqrt
@@ -269,40 +270,11 @@ def _cutoffs(x, T, sieve: LambdaSieve) -> list[int]:
     return cut
 
 
-class PrimeCoefficients(Mapping):
-    """Read-only map prime -> nonzero integer coefficient, held as an
-    ascending array('Q') of primes and a parallel array('q') of counts:
-    16 bytes per prime where a dict takes about 100."""
-
-    __slots__ = ("primes", "counts")
-
-    def __init__(self, primes: array, counts: array):
-        self.primes = primes
-        self.counts = counts
-
-    @classmethod
-    def from_mapping(cls, coeff) -> "PrimeCoefficients":
-        """Sorted once into the array form; zero entries are kept."""
-        primes = array("Q", sorted(coeff))
-        return cls(primes, array("q", map(coeff.__getitem__, primes)))
-
-    def __getitem__(self, p):
-        i = bisect_left(self.primes, p)
-        if i == len(self.primes) or self.primes[i] != p:
-            raise KeyError(p)
-        return self.counts[i]
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-
-def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> PrimeCoefficients:
-    """Exact integer coefficient per prime p in
-    sum_{l^2 < xT} (-1)^l Psi(e^{sqrt(x - l^2/T)}) = sum_p coeff[p] log p,
-    as a PrimeCoefficients map of the nonzero coefficients.
+def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> tuple[array, array]:
+    """Exact integer coefficient c_p per prime p in
+    sum_{l^2 < xT} (-1)^l Psi(e^{sqrt(x - l^2/T)}) = sum_p c_p log p,
+    as (primes, counts): the ascending array('Q') of the primes with
+    c_p != 0 and the parallel array('q') of their c_p, 16 bytes per prime.
 
     A prime power n inside cutoffs 0..J(n) and no further carries
     sum_{|l| <= J(n)} (-1)^l = (-1)^{J(n)}, a sign.  method="bucket"
@@ -343,19 +315,16 @@ def lambda_coefficients(x, T, sieve: LambdaSieve, method: str = "bucket") -> Pri
         if i < n_inside:
             coeff[bisect_left(entries, p)] += coeff[i]
             coeff[i] = 0
-    return PrimeCoefficients(array("Q", compress(entries, coeff)), array("q", filter(None, coeff)))
+    return array("Q", compress(entries, coeff)), array("q", filter(None, coeff))
 
 
-def coefficients_value(coeff, ctx: PrecisionContext) -> mpf:
-    """sum coeff[p] log p as sum_c c log(prod of the primes with
-    coefficient c): one log per class, each product taken in ascending
-    prime order and the classes added in ascending c, so the bits depend
-    only on the map, not on its insertion order.  `coeff` is a
-    PrimeCoefficients or any mapping prime -> int, sorted once into one;
-    each class streams from the arrays, so no per-class list exists."""
-    if not isinstance(coeff, PrimeCoefficients):
-        coeff = PrimeCoefficients.from_mapping(coeff)
-    primes, counts = coeff.primes, coeff.counts
+def coefficients_value(primes, counts, ctx: PrecisionContext) -> mpf:
+    """sum counts[i] log primes[i] as sum_c c log(prod of the primes with
+    coefficient c): one log per class, the classes added in ascending c.
+    `primes` must ascend, as lambda_coefficients returns them, and
+    `counts` is parallel to it; each product is then taken in ascending
+    prime order, so the bits depend only on the coefficients.  Each class
+    streams from the two sequences, so no per-class list exists."""
     prec = ctx.work_bits
     with ctx.workprec():
         total = mpf(0)
@@ -368,8 +337,7 @@ def coefficients_value(coeff, ctx: PrecisionContext) -> mpf:
 def psi_weak_pentagonal(x, T, sieve: LambdaSieve, ctx: PrecisionContext,
                         method: str = "bucket") -> SumReport:
     """sum over integers l with l^2 < xT of (-1)^l Psi(e^{sqrt(x - l^2/T)})."""
-    coeff = lambda_coefficients(x, T, sieve, method=method)
-    value = coefficients_value(coeff, ctx)
+    value = coefficients_value(*lambda_coefficients(x, T, sieve, method=method), ctx)
     L = _ell_max(x, T)
     with ctx.workprec():
         # conversion rounds at working precision; at ambient precision it

@@ -40,6 +40,46 @@ def partition_dp(n_max: int) -> list:
     return dp
 
 
+def distinct_odd_dp(n_max: int) -> list:
+    """Q(0..n_max), the partitions into distinct odd parts (OEIS A000700),
+    by the 0/1 knapsack over the odd part sizes."""
+    dp = [1] + [0] * n_max
+    for part in range(1, n_max + 1, 2):
+        for total in range(n_max, part - 1, -1):
+            dp[total] += dp[total - part]
+    return dp
+
+
+def bernoulli(n_max: int) -> list:
+    """B_0 .. B_n_max as Fractions (B_1 = -1/2), from
+    sum_{k <= n} C(n + 1, k) B_k = 0 for n >= 1."""
+    B = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        B.append(-sum(math.comb(n + 1, k) * B[k] for k in range(n)) / (n + 1))
+    return B
+
+
+def f_r_boole(r: int) -> list:
+    """Coefficients of M^0 .. M^2r of f_r(M) = sum_{|j| <= 2M} (-1)^j (4M^2 - j^2)^r
+    by Boole summation:
+      f_r(M) = -sum_{m odd, r <= m <= 2r} (E_m(0)/m!) h^(m)(2) M^(2r - m),
+    h(u) = (4 - u^2)^r, E_m(0) = -2 (2^(m+1) - 1) B_(m+1) / (m + 1).
+    g(j) = (4M^2 - j^2)^r = M^2r h(j/M) is even and vanishes to order r
+    at j = +-2M, so the terms with even m or m < r cancel or are zero."""
+    B = bernoulli(2 * r + 1)
+    # h(u) = sum_k C(r, k) 4^(r - k) (-u^2)^k, as h_coeffs[n] of u^n
+    h_coeffs = [0] * (2 * r + 1)
+    for k in range(r + 1):
+        h_coeffs[2 * k] = math.comb(r, k) * 4 ** (r - k) * (-1) ** k
+    coeffs = [Fraction(0)] * (2 * r + 1)
+    for m in range(r | 1, 2 * r + 1, 2):  # odd m from the least odd m >= r
+        euler = -2 * (2 ** (m + 1) - 1) * B[m + 1] / (m + 1)
+        h_m_at_2 = sum(c * math.perm(n, m) * 2 ** (n - m)
+                       for n, c in enumerate(h_coeffs) if n >= m)
+        coeffs[2 * r - m] = -euler / math.factorial(m) * h_m_at_2
+    return coeffs
+
+
 def test_criterion_01_pentagonal_checksum():
     # on a table from Euler's recurrence the checksum is zero by
     # construction; the DP counts partitions by another route
@@ -80,13 +120,19 @@ def test_criterion_04_degree_law():
         degree, poly = detect_degree(r)
         expected = r - 1 if r % 2 == 0 else r
         laws.append(degree == expected)
+        # the Boole closed form, coefficient by coefficient; its top
+        # term is m = the least odd m >= r, so degree 2r - (r | 1)
+        boole = f_r_boole(r)
+        padded = poly.coeffs + (0,) * (2 * r + 1 - len(poly.coeffs))
+        laws.append(tuple(boole) == padded and 2 * r - (r | 1) == degree)
     linear = (detect_degree(1)[1].coeffs == (0, -2)
               and detect_degree(2)[1].coeffs == (0, -2)
               and all(f_r_exact(M, 1) == -2 * M == f_r_exact(M, 2)
                       for M in range(1, 13)))
     elapsed = time.monotonic() - t0
     report(4, all(laws) and linear and elapsed <= 30.0,
-           "detected degree == r-1 (even r) / r (odd r) for r <= 16, "
+           "detected degree == r-1 (even r) / r (odd r) for r <= 16, every "
+           "coefficient equal to the Boole-summation closed form, "
            "f_1(M) = f_2(M) = -2M exactly; elapsed %.1fs (limit 30s)"
            % elapsed)
 
@@ -97,6 +143,14 @@ def test_criterion_05_p4_asymptotic_ratio():
     # that must match it far inside the ratio's distance from 1.  The
     # sign comes from the parity of l: (-1) ** l is a float for l < 0
     t0 = time.monotonic()
+    # theta_4(q) / prod(1 - q^n) = prod(1 - q^(2n-1)): over l^2 <= x the
+    # square sum of p is (-1)^x Q(x), Q from the odd-part knapsack
+    Q = distinct_odd_dp(2000)
+    identity_bad = [
+        x for x in range(1, 2001)
+        if sum(-partition_exact(x - l * l) if l % 2 else partition_exact(x - l * l)
+               for l in range(-math.isqrt(x), math.isqrt(x) + 1))
+        != (-Q[x] if x % 2 else Q[x])]
     kernel = rademacher_kernel("p4")
     q = square_form(1)
     p4_rel_bound = mpf("1e-15")
@@ -114,13 +168,15 @@ def test_criterion_05_p4_asymptotic_ratio():
             corrections[x] = float(mp.sqrt(x) * (1 - ratio))
             p4_gaps[x] = abs(rep.value - exact) / abs(exact)
     elapsed = time.monotonic() - t0
-    ok = (all(0.9 <= v <= 1.1 for v in ratios.values())
+    ok = (all(0.9 <= v <= 1.1 for v in ratios.values()) and identity_bad == []
           and all(g <= p4_rel_bound for g in p4_gaps.values()) and elapsed <= 300.0)
     report(5, ok,
+           "sum over l^2 <= x of (-1)^l p(x - l^2) == (-1)^x Q(x) for 1 <= x <= 2000 "
+           "(mismatches %s); "
            "exact sum over l^2 < x of (-1)^l p(x - l^2) vs 2^(-3/4) x^(-1/4) sqrt(p(x)): "
            "ratios %s all in [0.9, 1.1], sqrt(x)(1 - ratio) = %s; p4 sum within "
            "relative %s of the exact sum (%s); elapsed %.1fs (limit 300s)"
-           % ({k: round(v, 6) for k, v in ratios.items()},
+           % (identity_bad, {k: round(v, 6) for k, v in ratios.items()},
               {k: round(v, 4) for k, v in corrections.items()}, mp.nstr(p4_rel_bound, 3),
               {k: mp.nstr(g, 2) for k, g in p4_gaps.items()}, elapsed))
 

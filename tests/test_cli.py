@@ -93,6 +93,20 @@ def test_bad_format_choice_usage_error(capsys):
     assert "xml" in json.loads(err)["error"]
 
 
+def test_negative_number_attached_with_equals():
+    # argparse takes only -3- or -0.5-shaped text as a negative value:
+    # -1/2 after a space reads as a flag, so it must be attached with =
+    base = ["-m", "cancelsum.cli", "osc-sum", "--x", "100", "--form", "custom",
+            "--a", "1", "--kernel", "exp_sqrt"]
+    attached = run_process(base + ["--b=-1/2"])
+    decimal = run_process(base + ["--b", "-0.5"])
+    assert attached.returncode == decimal.returncode == 0
+    assert attached.stdout == decimal.stdout and len(rows_of(attached.stdout)) == 1
+    spaced = run_process(base + ["--b", "-1/2"])
+    assert_one_error_line(spaced, 2)
+    assert "expected one argument" in json.loads(spaced.stderr)["error"]
+
+
 def test_kernel_choices_in_help_order():
     # the Rademacher names come from partition.RADEMACHER, in its order
     assert list(_KERNELS) == ["p1", "p2", "p3", "p4", "sqrt_p1", "exp_sqrt", "power",

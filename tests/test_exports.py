@@ -25,7 +25,7 @@ OWNERS = {
     "oscsum": "KernelSpec QuadraticForm SumReport alternating_sum bound_main1 "
               "bound_main2 complex_exp_kernel delta empirical_exponent exp_sqrt_kernel "
               "maximize_delta pentagonal_form power_kernel rademacher_kernel square_form",
-    "primes": "IntervalHalfReport LambdaSieve PrimeCoefficients build_sieve "
+    "primes": "IntervalHalfReport LambdaSieve build_sieve "
               "coefficients_value interval_union_measure lambda_coefficients load_sieve "
               "psi psi_interval_half psi_weak_pentagonal save_sieve",
     "pte": "IntegerPolynomial PTEPair PTERow coefficient_bound_check construct_pair "

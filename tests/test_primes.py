@@ -15,7 +15,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import fone, mpf_log, mpf_mul_int
 
 from cancelsum import (DomainError, LambdaSieve, PrecisionContext,
-                       PrimeCoefficients, ResourceError, build_sieve, coefficients_value,
+                       ResourceError, build_sieve, coefficients_value,
                        interval_union_measure, lambda_coefficients,
                        load_sieve, nstr_for_bits, psi, psi_interval_half,
                        psi_weak_pentagonal, save_sieve, to_fraction_exact)
@@ -290,8 +290,8 @@ def test_bucket_equals_direct_seeded(sieve100k, ctx128):
         bucket = lambda_coefficients(x, T, sieve100k, method="bucket")
         direct = lambda_coefficients(x, T, sieve100k, method="direct")
         assert bucket == direct
-        vb = coefficients_value(bucket, ctx128)
-        vd = coefficients_value(direct, ctx128)
+        vb = coefficients_value(*bucket, ctx128)
+        vd = coefficients_value(*direct, ctx128)
         assert vb == vd
 
 
@@ -305,23 +305,11 @@ def _class_map(sieve, seed=2718):
     return coeff
 
 
-def test_coefficients_value_ignores_insertion_order(sieve100k, ctx128):
-    coeff = _class_map(sieve100k)
-    want = coefficients_value(coeff, ctx128)
-    items = list(coeff.items())
-    orders = [items[::-1], sorted(items, key=lambda pc: -pc[1]),
-              sorted(items, key=lambda pc: abs(pc[1]))]
-    for seed in range(4):
-        random.Random(seed).shuffle(items)
-        orders.append(list(items))
-    for order in orders:
-        assert coefficients_value(dict(order), ctx128) == want
-
-
-def test_prime_coefficients_from_mapping():
-    coeff = PrimeCoefficients.from_mapping({7: 2, 2: -1, 5: 0, 3: 1})
-    assert list(coeff.items()) == [(2, -1), (3, 1), (5, 0), (7, 2)]
-    assert coeff[5] == 0 and 4 not in coeff
+def _arrays(coeff):
+    # a map prime -> coefficient in lambda_coefficients' form: ascending
+    # primes and the parallel coefficients
+    primes = array("Q", sorted(coeff))
+    return primes, array("q", map(coeff.__getitem__, primes))
 
 
 def _value_by_class_lists(coeff, ctx):
@@ -342,8 +330,8 @@ def test_coefficients_value_matches_class_lists(sieve100k, ctx128):
     # classes taken in another order than ascending c change the last bit
     # of the total for about one seed in four
     maps = [_class_map(sieve100k, seed) for seed in range(8)]
-    for coeff in maps + [lambda_coefficients(90, 3000, sieve100k)]:
-        assert coefficients_value(coeff, ctx128) == _value_by_class_lists(coeff, ctx128)
+    for coeff in maps + [dict(zip(*lambda_coefficients(90, 3000, sieve100k)))]:
+        assert coefficients_value(*_arrays(coeff), ctx128) == _value_by_class_lists(coeff, ctx128)
 
 
 def test_coefficients_value_against_fsum(sieve100k, ctx128):
@@ -352,7 +340,7 @@ def test_coefficients_value_against_fsum(sieve100k, ctx128):
     assert len(classes) >= 5 and any(abs(c) >= 2 for c in classes)
     ones = math.prod(p for p, c in coeff.items() if c == 1)
     assert ones.bit_length() > 2 * (ctx128.bits + ctx128.guard_bits)  # folds twice or more
-    got = coefficients_value(coeff, ctx128)
+    got = coefficients_value(*_arrays(coeff), ctx128)
     with mp.workprec(ctx128.bits + ctx128.guard_bits + 64):
         want = mp.fsum(c * mp.log(p) for p, c in coeff.items())
         scale = mp.fsum(abs(c) * mp.log(p) for p, c in coeff.items())
@@ -362,9 +350,9 @@ def test_coefficients_value_against_fsum(sieve100k, ctx128):
 def test_coefficients_are_bounded_counts(sieve600):
     # each prime's coefficient is a signed count of sub-cutoffs, bounded
     # by the number of admissible powers times the index count
-    coeff = lambda_coefficients(40, 3000, sieve600)
+    _, counts = lambda_coefficients(40, 3000, sieve600)
     L = 346
-    for p, c in coeff.items():
+    for c in counts:
         assert isinstance(c, int)
         assert abs(c) <= 2 * L + 1
 
@@ -408,22 +396,18 @@ ORACLE_CASES = [(5, 7), (Fraction(19, 2), 40), (20, Fraction(1000, 3)), (33, 17)
 
 
 @pytest.mark.parametrize("method", primes.PSI_METHODS)
-def test_coefficients_match_definition(sieve600, ctx128, method):
+def test_coefficients_match_definition(sieve600, method):
     dropped = False
     for x, T in ORACLE_CASES:
         want = _coefficients_by_definition(x, T, 600)
-        got = lambda_coefficients(x, T, sieve600, method=method)
-        assert isinstance(got, PrimeCoefficients)
-        assert got == want
-        assert list(got) == sorted(want) and len(got) == len(want)
-        assert [got[p] for p in got] == [want[p] for p in sorted(want)]
-        assert coefficients_value(got, ctx128) == coefficients_value(want, ctx128)
+        got_primes, got_counts = lambda_coefficients(x, T, sieve600, method=method)
+        assert (got_primes.typecode, got_counts.typecode) == ("Q", "q")
+        assert list(got_primes) == sorted(want) and len(got_counts) == len(want)
+        assert list(got_counts) == [want[p] for p in sorted(want)]
         # a prime whose powers cancel is absent, not zero
-        dropped |= any(p not in got for pp, p in pairs(sieve600) if pp <= 24)
+        dropped |= any(p not in got_primes for pp, p in pairs(sieve600) if pp <= 24)
         for absent in (1, 4, 25, 601):
-            assert absent not in got
-            with pytest.raises(KeyError):
-                got[absent]
+            assert absent not in got_primes
     assert dropped
 
 
@@ -436,7 +420,7 @@ def test_coefficients_peak_memory(sieve1m, ctx128):
     for method in primes.PSI_METHODS:
         tracemalloc.start()
         try:
-            coefficients_value(lambda_coefficients(160, 30, sieve1m, method=method), ctx128)
+            coefficients_value(*lambda_coefficients(160, 30, sieve1m, method=method), ctx128)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

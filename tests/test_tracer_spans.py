@@ -1,6 +1,7 @@
 """bench/tracer.py reads counts off the values that traced functions
-return; psi-sum's `coeffs` count is len() of what lambda_coefficients
-returns.  A change of that type must fail here rather than in a
+return; psi-sum's `coeffs` count is len() of coefficients_value's
+first argument, the primes array that lambda_coefficients returns
+first.  A change of that order or type must fail here rather than in a
 `bench/run.py --trace 1` run.  The tracer also looks every wrapped
 module up in sys.modules right after importing the CLI, so the package
 must register each submodule there, whether a command uses it or not."""
@@ -24,21 +25,22 @@ def _env() -> dict:
 
 
 def test_tracer_psi_sum_spans(tmp_path, capsys, sieve600):
-    argv = ["psi-sum", "--x", "40", "--T", "3000"]
-    assert cli.main(argv) == 0
-    untraced = capsys.readouterr().out
-    spans_out = tmp_path / "spans.json"
     env = _env()
-    tracer = [sys.executable, str(ROOT / "bench" / "tracer.py"), str(spans_out)]
-    proc = subprocess.run(tracer + argv, cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == untraced
-    spans = json.loads(spans_out.read_text().splitlines()[0])["spans"]
-    names = [span[0] for span in spans]
-    assert "primes.bucket" in names and "primes.value" in names
-    (counts,) = [span[4] for span in spans if span[0] == "primes.value"]
-    assert counts["coeffs"] == len(lambda_coefficients(40, 3000, sieve600)) > 0
+    tracer = [sys.executable, str(ROOT / "bench" / "tracer.py"), str(tmp_path / "spans.json")]
+    for method in ("bucket", "direct"):
+        argv = ["psi-sum", "--x", "40", "--T", "3000", "--method", method]
+        assert cli.main(argv) == 0
+        untraced = capsys.readouterr().out
+        proc = subprocess.run(tracer + argv, cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == untraced
+        spans = json.loads((tmp_path / "spans.json").read_text().splitlines()[0])["spans"]
+        names = [span[0] for span in spans]
+        assert "primes." + method in names and "primes.value" in names
+        (counts,) = [span[4] for span in spans if span[0] == "primes.value"]
+        primes, coeffs = lambda_coefficients(40, 3000, sieve600, method=method)
+        assert counts["coeffs"] == len(primes) == len(coeffs) > 0
 
 
 @pytest.mark.parametrize("argv, span", [
