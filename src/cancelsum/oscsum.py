@@ -205,8 +205,7 @@ def power_kernel(k_half) -> KernelSpec:
 
     def bind_real(ctx):
         e = to_mpf_exact(exponent)
-        zero = mpf(0) if exponent > 0 else mpf(1)
-        return lambda y: zero if y == 0 else to_mpf_exact(y) ** e
+        return lambda y: to_mpf_exact(y) ** e
 
     def bind_complex(ctx):
         # mpc(w) ** e on pairs

@@ -188,16 +188,6 @@ def psi(y, sieve: LambdaSieve, ctx: PrecisionContext) -> mpf:
     return sieve.arrays_at([count], ctx.work_bits)[0]
 
 
-def _ell_max(x, T) -> int:
-    """Largest L with L^2 < x*T (square_form(T).index_range(x));
-    DomainError unless T > 0 and x*T >= 1, ResourceError when the index
-    range exceeds oscsum.MAX_INDEX_RANGE."""
-    Tf = to_fraction_exact(T)
-    if Tf <= 0 or to_fraction_exact(x) * Tf < 1:
-        raise DomainError("need T > 0 and x*T >= 1 so the index range is nonempty")
-    return square_form(Tf).index_range(x)[1]
-
-
 def _beyond_limit(t: Fraction, limit: int) -> DomainError:
     return DomainError("cutoff e^sqrt(%s) lies beyond the sieve limit %d" % (t, limit))
 
@@ -230,9 +220,9 @@ _CUTOFF_GUARD = 2.0 ** -32
 
 
 def _cutoffs(x, T, sieve: LambdaSieve) -> list[int]:
-    """[N_0, ..., N_L], N_j = floor(e^{sqrt(x - j^2/T)}): a prime power n
-    lies inside cutoff j iff n <= N_j.  DomainError when N_0 exceeds the
-    sieve limit.
+    """[N_0, ..., N_L], N_j = floor(e^{sqrt(x - j^2/T)}), over the range
+    L^2 < xT of square_form(T), x > 0 and T > 0: a prime power n lies
+    inside cutoff j iff n <= N_j.  DomainError when N_0 passes the limit.
 
     Each t_j = x - j^2/T is an exact ratio of integers, and a double
     y = exp(sqrt(t_j)) decides N_j when it can.  int / int and math.sqrt
@@ -247,10 +237,10 @@ def _cutoffs(x, T, sieve: LambdaSieve) -> list[int]:
     e^sqrt(t) exists.  A t or e^sqrt(t) past the doubles reads as the
     largest double, a lower bound.  Every other index has y within the
     guard of an integer and takes the exact route of _cutoff."""
-    Tf = to_fraction_exact(T)
+    q = square_form(to_fraction_exact(T))
     limit = sieve.limit
-    L = _ell_max(x, Tf)
-    scale, A, _, C = square_form(Tf).cleared(x)  # t_j = (-C - A j^2) / scale
+    L = q.index_range(x)[1]
+    scale, A, _, C = q.cleared(x)  # t_j = (-C - A j^2) / scale
     cut = []
     for j in range(L + 1):
         num = -C - A * j * j
@@ -336,9 +326,10 @@ def coefficients_value(primes, counts, ctx: PrecisionContext) -> mpf:
 
 def psi_weak_pentagonal(x, T, sieve: LambdaSieve, ctx: PrecisionContext,
                         method: str = "bucket") -> SumReport:
-    """sum over integers l with l^2 < xT of (-1)^l Psi(e^{sqrt(x - l^2/T)})."""
+    """sum over integers l with l^2 < xT of (-1)^l Psi(e^{sqrt(x - l^2/T)}),
+    for x > 0 and T > 0 (_cutoffs); l = 0 alone when xT <= 1."""
     value = coefficients_value(*lambda_coefficients(x, T, sieve, method=method), ctx)
-    L = _ell_max(x, T)
+    L = square_form(to_fraction_exact(T)).index_range(x)[1]
     with ctx.workprec():
         # conversion rounds at working precision; at ambient precision it
         # would silently truncate the high-precision total
@@ -417,11 +408,12 @@ def psi_interval_half(x, T, sieve: LambdaSieve, ctx: PrecisionContext) -> Interv
 
 
 def interval_union_measure(x, T, ctx: PrecisionContext) -> mpf:
-    """Lebesgue measure of the interval union, normalized by e^{sqrt(x)}."""
-    Tf = to_fraction_exact(T)
-    L = _ell_max(x, Tf)
+    """Lebesgue measure of the interval union, normalized by e^{sqrt(x)},
+    for x > 0 and T > 0 (square_form(T)); 0 when xT <= 4 leaves it empty."""
+    q = square_form(to_fraction_exact(T))
+    L = q.index_range(x)[1]
     with ctx.workprec():
-        reach = [mp.exp(mp.sqrt(to_mpf_exact(t))) for _, t in square_form(Tf).gaps(x, range(L + 1))]
+        reach = [mp.exp(mp.sqrt(to_mpf_exact(t))) for _, t in q.gaps(x, range(L + 1))]
         total = mpf(0)
         for l in range(1, L // 2 + 1):
             total += reach[2 * l - 1] - reach[2 * l]

@@ -119,9 +119,9 @@ def power_sum_diff(pair: PTEPair, r: int) -> int:
 
 
 def k_regime(n: int, m: int) -> int:
-    """floor(n^(1 - 1/(2m+1)) / log n), the r-range the construction targets."""
-    if n < 3:
-        raise DomainError("k_regime needs n >= 3")
+    """floor(n^(1 - 1/(2m+1)) / log n) for n >= 2, the r-range the construction targets."""
+    if n < 2:
+        raise DomainError("k_regime needs n >= 2")
     return int(n ** (1.0 - 1.0 / (2 * m + 1)) / math.log(n))
 
 
@@ -302,21 +302,18 @@ def pigeonhole_c(n: int, k: int) -> Fraction:
 def lemma_sum(x, T, k: int, ctx: PrecisionContext | None = None):
     """sum_{l^2 < xT} (-1)^l (x - l^2/T)^{k/2}: exact Fraction for even k
     and rational x, T; high-precision mpf for odd k (ctx required).
-    ResourceError when an even sum could pass MAX_LEMMA_BITS."""
+    The range is square_form(T)'s, so x > 0 and T > 0 (l = 0 alone when
+    xT <= 1).  ResourceError when an even sum could pass MAX_LEMMA_BITS."""
     from .numerics import to_fraction_exact
     from .oscsum import alternating_walk, power_kernel, square_form
     if k < 0:
         raise DomainError("lemma_sum needs k >= 0")
-    xf = to_fraction_exact(x)
-    Tf = to_fraction_exact(T)
-    if xf * Tf < 1:
-        raise DomainError("lemma_sum needs x*T >= 1")
-    q = square_form(Tf)
-    _, L = q.index_range(xf)
+    q = square_form(to_fraction_exact(T))
+    _, L = q.index_range(x)
     if k % 2 == 0:
         # x - l^2/T = (-C - l^2 A) / scale, and each of the 2L + 1 terms
         # is at most (-C)^h, so these bits bound the sum before the walk
-        scale, A, _, C = q.cleared(xf)
+        scale, A, _, C = q.cleared(x)
         h = k // 2
         if h * max(-C, scale).bit_length() + (2 * L + 1).bit_length() > MAX_LEMMA_BITS:
             raise ResourceError("lemma sum at k = %d exceeds budget of %d bits"
@@ -326,7 +323,7 @@ def lemma_sum(x, T, k: int, ctx: PrecisionContext | None = None):
         raise DomainError("odd k needs a PrecisionContext")
     with ctx.workprec():
         K = power_kernel(Fraction(k, 2)).bind_real(ctx)
-        return alternating_walk(K, q, xf, range(-L, L + 1)).real
+        return alternating_walk(K, q, x, range(-L, L + 1)).real
 
 
 def lemma_bound(x, T, k: int, u, ctx: PrecisionContext) -> mpf:

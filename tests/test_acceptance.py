@@ -155,10 +155,17 @@ def test_criterion_05_p4_asymptotic_ratio():
     q = square_form(1)
     p4_rel_bound = mpf("1e-15")
     ratios, corrections, p4_gaps = {}, {}, {}
+    # Q(x) = pi/sqrt(24m) I_1(pi sqrt(m/6)) (1 + eps), m = x - 1/24, with
+    # eps of the next cusp's size e^{-pi sqrt(x)/(2 sqrt 6)}; and
+    # sqrt(x)(1 - ratio) tends to sqrt(6)/(8 pi) with an O(1/sqrt(x)) gap
+    eps_rates, gap_rates = {}, {}
     for x in (5000, 10000, 20000):
         ell = math.isqrt(x - 1)  # l^2 < x
         exact = sum(-partition_exact(x - l * l) if l % 2 else partition_exact(x - l * l)
                     for l in range(-ell, ell + 1))
+        # over l^2 <= x, a square x = r^2 adds the terms l = +-r, 2 (-1)^r p(0)
+        r = math.isqrt(x)
+        Q = abs(exact + (2 * (-1) ** r if r * r == x else 0))
         ctx = context_for(x, growth_p1)
         rep = alternating_sum(kernel, q, x, ctx)
         with ctx.workprec():
@@ -167,18 +174,31 @@ def test_criterion_05_p4_asymptotic_ratio():
             ratios[x] = float(ratio)
             corrections[x] = float(mp.sqrt(x) * (1 - ratio))
             p4_gaps[x] = abs(rep.value - exact) / abs(exact)
+            m = x - mpf(1) / 24
+            bessel = mp.pi / mp.sqrt(24 * m) * mp.besseli(1, mp.pi * mp.sqrt(m / 6))
+            cusp = mp.exp(-mp.pi * mp.sqrt(x) / (2 * mp.sqrt(6)))
+            eps_rates[x] = float(abs(Q / bessel - 1) / cusp)
+            gap_rates[x] = float(mp.sqrt(x) * (mp.sqrt(x) * (1 - ratio)
+                                               - mp.sqrt(6) / (8 * mp.pi)))
     elapsed = time.monotonic() - t0
     ok = (all(0.9 <= v <= 1.1 for v in ratios.values()) and identity_bad == []
-          and all(g <= p4_rel_bound for g in p4_gaps.values()) and elapsed <= 300.0)
+          and all(g <= p4_rel_bound for g in p4_gaps.values())
+          and all(1.2 <= v <= 1.4 for v in eps_rates.values())
+          and all(0.05 <= v <= 0.07 for v in gap_rates.values()) and elapsed <= 300.0)
     report(5, ok,
            "sum over l^2 <= x of (-1)^l p(x - l^2) == (-1)^x Q(x) for 1 <= x <= 2000 "
            "(mismatches %s); "
            "exact sum over l^2 < x of (-1)^l p(x - l^2) vs 2^(-3/4) x^(-1/4) sqrt(p(x)): "
            "ratios %s all in [0.9, 1.1], sqrt(x)(1 - ratio) = %s; p4 sum within "
-           "relative %s of the exact sum (%s); elapsed %.1fs (limit 300s)"
+           "relative %s of the exact sum (%s); Q over the Bessel term I_1 is 1 + eps "
+           "with eps / e^(-pi sqrt(x)/(2 sqrt 6)) = %s all in [1.2, 1.4]; "
+           "sqrt(x)(sqrt(x)(1 - ratio) - sqrt(6)/(8 pi)) = %s all in [0.05, 0.07]; "
+           "elapsed %.1fs (limit 300s)"
            % (identity_bad, {k: round(v, 6) for k, v in ratios.items()},
               {k: round(v, 4) for k, v in corrections.items()}, mp.nstr(p4_rel_bound, 3),
-              {k: mp.nstr(g, 2) for k, g in p4_gaps.items()}, elapsed))
+              {k: mp.nstr(g, 2) for k, g in p4_gaps.items()},
+              {k: round(v, 3) for k, v in eps_rates.items()},
+              {k: round(v, 4) for k, v in gap_rates.items()}, elapsed))
 
 
 def test_criterion_06_cancellation_exponents():

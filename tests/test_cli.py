@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from cancelsum.cli import _FORMS, _KERNELS, _build_parser, _rate, main
-from cancelsum.numerics import PrecisionContext, required_bits
+from cancelsum.numerics import PrecisionContext, nstr_for_bits, required_bits
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -547,6 +547,37 @@ def test_lemma_sum_exact(capsys):
     assert row["value"] == "-1/2"
     assert row["exact_rational"] == "True"
     assert float(row["bound"]) > 0
+
+
+def test_square_form_sums_keep_the_l0_row_below_unit_xT(capsys):
+    # 0 < xT <= 1 leaves l = 0 alone, as osc-sum --form square has it
+    at = ["--x", "1/2", "--T", "1"]
+    code, out, _ = run(["psi-sum"] + at, capsys)
+    (row,) = rows_of(out)
+    with PrecisionContext(bits=128).workprec():  # psi's working precision
+        log2 = nstr_for_bits(mp.log(2), 128)
+    assert (code, row["re"], row["terms"], row["bits"]) == (0, log2, "1", "128")
+    code, out, _ = run(["psi-half"] + at, capsys)
+    (row,) = rows_of(out)
+    assert (code, float(row["lhs"]), float(row["rel_err"]), row["ell_max"]) == (0, 0, 0.5, "0")
+    code, out, _ = run(["lemma-sum", "--k", "2"] + at, capsys)
+    assert (code, rows_of(out)[0]["value"]) == (0, "1/2")
+    for x, k in (("1/2", 1), ("3/4", 3)):
+        at = ["--x", x, "--T", "1"]
+        _, out, _ = run(["lemma-sum", "--k", str(k)] + at, capsys)
+        (lemma,) = rows_of(out)
+        _, out, _ = run(["osc-sum", "--kernel", "power", "--k-half", "%d/2" % k,
+                         "--form", "square"] + at, capsys)
+        assert lemma["value"] == rows_of(out)[0]["re"]
+
+
+@pytest.mark.parametrize("command", [["psi-sum"], ["psi-half"], ["lemma-sum", "--k", "2"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("T", ["0", "-3"])
+def test_square_form_sums_need_positive_T(capsys, command, T):
+    code, out, err = run(command + ["--x", "40", "--T", T], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "square_form needs T > 0"}
 
 
 def test_pigeonhole_rows(capsys):

@@ -323,6 +323,18 @@ def test_kernel_real_on_positive_reals():
     assert not complex_exp_kernel(1, Fraction(-1, 3), 100).real
 
 
+def test_power_kernel_at_zero(ctx320):
+    # y^{k/2} at y = 0: 0 for k/2 > 0, 1 at k = 0, and no value, never
+    # 1.0, for k/2 < 0
+    with ctx320.workprec():
+        assert power_kernel(Fraction(1, 2)).bind_real(ctx320)(0) == 0
+        assert power_kernel(0).bind_real(ctx320)(0) == 1
+        for k_half in (Fraction(-1, 2), -1):
+            K = power_kernel(k_half).bind_real(ctx320)
+            with pytest.raises(ZeroDivisionError):
+                K(0)
+
+
 def test_complex_kernel_beta_zero_matches_real(ctx320):
     q = square_form(10**4)
     a = alternating_sum(complex_exp_kernel(1, 0, 10**4), q, 100, ctx320)

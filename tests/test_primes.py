@@ -18,7 +18,8 @@ from cancelsum import (DomainError, LambdaSieve, PrecisionContext,
                        ResourceError, build_sieve, coefficients_value,
                        interval_union_measure, lambda_coefficients,
                        load_sieve, nstr_for_bits, psi, psi_interval_half,
-                       psi_weak_pentagonal, save_sieve, to_fraction_exact)
+                       psi_weak_pentagonal, save_sieve, square_form,
+                       to_fraction_exact)
 from cancelsum import oscsum, primes
 
 
@@ -256,8 +257,14 @@ def test_weak_sum_anchor_40_3000(sieve600, ctx192):
 
 
 def test_weak_sum_requires_nonempty_range(sieve600, ctx192):
-    with pytest.raises(DomainError):
-        psi_weak_pentagonal(40, Fraction(1, 41), sieve600, ctx192)
+    # the range of square_form(T) is empty only at x <= 0; 0 < xT < 1
+    # keeps l = 0, as xT = 1 does
+    below = psi_weak_pentagonal(40, Fraction(1, 41), sieve600, ctx192)
+    one = psi_weak_pentagonal(40, Fraction(1, 40), sieve600, ctx192)
+    assert (below.term_count, below.value) == (1, one.value)
+    for x, T in ((0, 1), (-1, 1), (40, 0), (40, -1)):
+        with pytest.raises(DomainError):
+            psi_weak_pentagonal(x, T, sieve600, ctx192)
 
 
 def test_weak_sum_requires_sieve_coverage(sieve600, ctx192):
@@ -567,12 +574,11 @@ def test_cutoff_far_past_the_limit_is_decided_on_the_double(sieve600, ctx128, ps
 
 @st.composite
 def _cutoff_case(draw):
-    # rational x in (0, 340], T > 0 with 1 <= xT <= 40,000 (L < 200)
+    # rational x in (0, 340], T > 0 with 0 < xT <= 40,000 (L < 200)
     xd = draw(st.integers(1, 10 ** 4))
     x = Fraction(draw(st.integers(1, 340 * xd)), xd)
     td = draw(st.integers(1, 10 ** 4))
-    lo, hi = math.ceil(td / x), math.floor(40_000 * td / x)
-    T = Fraction(draw(st.integers(lo, max(lo, hi))), td)
+    T = Fraction(draw(st.integers(1, max(1, math.floor(40_000 * td / x)))), td)
     limit = draw(st.sampled_from([600, 10 ** 6, primes.MAX_SIEVE_LIMIT, 2 * 10 ** 8]))
     return x, T, limit
 
@@ -590,25 +596,38 @@ def test_cutoffs_equal_the_exact_route(case):
             return str(exc)
 
     got = outcome(lambda: primes._cutoffs(x, T, sieve))
+    _, L = square_form(T).index_range(x)
     want = outcome(lambda: [primes._cutoff(x - Fraction(j * j) / T, limit)
-                            for j in range(primes._ell_max(x, T) + 1)])
+                            for j in range(L + 1)])
     assert got == want
 
 
-def test_ell_max_is_the_square_form_range():
+def test_ell_max_is_the_square_form_range(sieve600, ctx192):
     # L^2 < xT strictly; ResourceError exactly when 4xT > MAX_INDEX_RANGE^2,
     # the root gap bound index_range applies to every form
-    assert primes._ell_max(40, 10) == 19
-    assert primes._ell_max(Fraction(401, 10), 10) == 20
-    assert primes._ell_max(1, 1) == 0
+    for x, T, L in ((40, 10, 19), (Fraction(401, 10), 10, 20), (1, 1, 0),
+                    (1, Fraction(99, 100), 0)):
+        assert len(primes._cutoffs(x, T, sieve600)) == L + 1
+        assert psi_weak_pentagonal(x, T, sieve600, ctx192).term_count == 2 * L + 1
     edge = Fraction(oscsum.MAX_INDEX_RANGE ** 2, 4)
-    assert primes._ell_max(edge, 1) == oscsum.MAX_INDEX_RANGE // 2 - 1
+    assert square_form(1).index_range(edge)[1] == oscsum.MAX_INDEX_RANGE // 2 - 1
+    # the edge's range is accepted, and its first cutoff is past the sieve
+    with pytest.raises(DomainError, match="beyond the sieve limit"):
+        primes._cutoffs(edge, 1, sieve600)
     with pytest.raises(ResourceError):
-        primes._ell_max(edge + Fraction(1, 10 ** 9), 1)
+        primes._cutoffs(edge + Fraction(1, 10 ** 9), 1, sieve600)
+    with pytest.raises(ResourceError):
+        interval_union_measure(edge + Fraction(1, 10 ** 9), 1, ctx192)
+    for T in (0, -1):
+        with pytest.raises(DomainError, match="square_form needs T > 0"):
+            primes._cutoffs(1, T, sieve600)
+        with pytest.raises(DomainError, match="square_form needs T > 0"):
+            interval_union_measure(1, T, ctx192)
     with pytest.raises(DomainError):
-        primes._ell_max(1, Fraction(99, 100))
-    with pytest.raises(DomainError):
-        primes._ell_max(1, 0)
+        interval_union_measure(0, 1, ctx192)
+    # the union is empty until xT > 4 puts l = 1 in it
+    assert interval_union_measure(1, Fraction(1, 2), ctx192) == 0
+    assert interval_union_measure(2, 2, ctx192) == 0
 
 
 def test_interval_union_measure(ctx192):

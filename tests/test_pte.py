@@ -124,8 +124,10 @@ def test_r1_closed_form():
 def test_k_regime():
     assert k_regime(100, 1) == 4
     assert k_regime(1000, 1) == 14
+    # n = 2, the smallest pair, has log n > 0 too
+    assert k_regime(2, 1) == 2
     with pytest.raises(DomainError):
-        k_regime(2, 1)
+        k_regime(1, 1)
 
 
 def test_verify_bound_rows_n100():
@@ -327,8 +329,13 @@ def test_lemma_sum_odd_needs_ctx(ctx192):
 
 
 def test_lemma_sum_validation(ctx192):
-    with pytest.raises(DomainError):
-        lemma_sum(Fraction(1, 2), 1, 2)
+    # the domain is square_form(T)'s index range: 0 < xT < 1 keeps l = 0
+    assert lemma_sum(Fraction(1, 2), 1, 2) == Fraction(1, 2)
+    for x, T in ((0, 1), (-1, 1), (1, 0), (1, -4)):
+        with pytest.raises(DomainError):
+            lemma_sum(x, T, 2)
+    with pytest.raises(ResourceError):
+        lemma_sum(Fraction(MAX_INDEX_RANGE ** 2, 4) + Fraction(1, 10 ** 9), 1, 0)
     with pytest.raises(DomainError):
         lemma_sum(1, 4, -1, ctx192)
 
